@@ -7,7 +7,6 @@
 from fractions import Fraction
 
 from finsection import (
-    OuterMeasure,
     SampleSpace,
     generate_sigma,
     is_measurable,
@@ -37,6 +36,6 @@ print("P*({c}) under trivial sigma:", outer_measure({"c"}, trivial_sigma(space.a
 print()
 
 # Increasing chains: the outer measure of the union is the limit (= last).
-bound = OuterMeasure(space, sigma)
 chain = [{"a"}, {"a", "c"}, {"a", "c", "d"}]
-print("chain values:", [bound(s) for s in chain], "union:", bound(set().union(*chain)))
+values = [outer_measure(s, sigma, space) for s in chain]
+print("chain values:", values, "union:", outer_measure(set().union(*chain), sigma, space))

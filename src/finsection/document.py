@@ -140,6 +140,7 @@ def build_document(obj: dict):
             if ok:
                 X = FilteredSpace(space, grid, tuple(sigmas))
 
+    known_atoms = frozenset(space.atoms) if space is not None else None
     sets: dict[str, StochasticSet] = {}
     for name, literal in _optional(obj, "sets", "document").items():
         if not isinstance(literal, list):
@@ -152,10 +153,11 @@ def build_document(obj: dict):
                 and len(pair) == 2
                 and isinstance(pair[0], str)
                 and isinstance(pair[1], int)
+                and not isinstance(pair[1], bool)
             ):
                 raise DocumentParseError(f"sets.{name} must be an array of [atom, index] pairs")
             atom, k = pair
-            if space is not None and atom not in space.atoms:
+            if known_atoms is not None and atom not in known_atoms:
                 violations.append(f"sets.{name}: unknown atom {atom!r}")
                 bad = True
             if grid is not None and not 0 <= k < len(grid):

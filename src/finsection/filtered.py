@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .measure import SampleSpace, SigmaAlgebra, discrete_sigma, is_measurable, refines
+from .measure import SampleSpace, SigmaAlgebra, is_measurable, refines
 
 __all__ = [
     "INF",
@@ -92,12 +92,6 @@ class FilteredSpace:
     def lookback(self, k: int) -> SigmaAlgebra:
         """The sigma-algebra one step before index k (itself at k = 0)."""
         return self.filtration[max(k - 1, 0)]
-
-    def constant_refinement(self) -> "FilteredSpace":
-        """Same space and grid under the finest constant filtration, which
-        makes every stochastic set predictable."""
-        fine = discrete_sigma(self.space.atoms)
-        return FilteredSpace(self.space, self.grid, tuple(fine for _ in range(self.n_times)))
 
 
 @dataclass(frozen=True)
@@ -289,8 +283,9 @@ def is_set_of_kind(S: StochasticSet, X: FilteredSpace, kind: str) -> bool:
     (index 0 at itself)."""
     if kind not in ("predictable", "optional"):
         raise ValueError(f"unknown stochastic set kind {kind!r}")
+    atoms = frozenset(X.atoms)
     for atom, k in S.cells:
-        if atom not in set(X.atoms) or k < 0 or k >= X.n_times:
+        if atom not in atoms or k < 0 or k >= X.n_times:
             raise ValueError(f"cell ({atom!r}, {k}) is outside the space")
     for k in range(X.n_times):
         sigma = X.sigma_at(k) if kind == "optional" else X.lookback(k)

@@ -14,7 +14,6 @@ from fractions import Fraction
 __all__ = [
     "SampleSpace",
     "SigmaAlgebra",
-    "OuterMeasure",
     "parse_rational",
     "format_rational",
     "trivial_sigma",
@@ -33,8 +32,10 @@ def parse_rational(text) -> Fraction:
     """Parse a "p/q" (or bare integer) literal into an exact Fraction."""
     if not isinstance(text, str) or not _RATIONAL.match(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    value = Fraction(text)
-    return value
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
 
 
 def format_rational(value: Fraction) -> str:
@@ -63,6 +64,7 @@ class SampleSpace:
             raise ValueError("weights must be nonnegative")
         if sum(self.weights) != 1:
             raise ValueError("weights must sum to exactly 1")
+        object.__setattr__(self, "_weight_of", dict(zip(self.atoms, self.weights)))
 
     @classmethod
     def uniform(cls, atoms) -> "SampleSpace":
@@ -70,21 +72,17 @@ class SampleSpace:
         return cls(atoms, tuple(Fraction(1, len(atoms)) for _ in atoms))
 
     def weight(self, atom: str) -> Fraction:
-        return self._weight_map[atom]
+        return self._weight_of[atom]
 
     def prob(self, subset) -> Fraction:
         """Exact probability of a set of atoms."""
-        w = self._weight_map
+        w = self._weight_of
         total = Fraction(0)
         for atom in set(subset):
             if atom not in w:
                 raise ValueError(f"unknown atom {atom!r}")
             total += w[atom]
         return total
-
-    @property
-    def _weight_map(self):
-        return dict(zip(self.atoms, self.weights))
 
 
 @dataclass(frozen=True)
@@ -102,24 +100,26 @@ class SigmaAlgebra:
         object.__setattr__(self, "blocks", blocks)
         if not blocks:
             raise ValueError("partition needs at least one block")
-        seen = set()
+        block_of = {}
         for block in blocks:
             if not block:
                 raise ValueError("partition blocks must be nonempty")
-            if block & seen:
-                raise ValueError("partition blocks must be pairwise disjoint")
-            seen |= block
-        object.__setattr__(self, "_universe", frozenset(seen))
+            for atom in block:
+                if atom in block_of:
+                    raise ValueError("partition blocks must be pairwise disjoint")
+                block_of[atom] = block
+        object.__setattr__(self, "_block_of", block_of)
+        object.__setattr__(self, "_universe", frozenset(block_of))
 
     @property
     def universe(self) -> frozenset:
         return self._universe
 
     def block_of(self, atom) -> frozenset:
-        for block in self.blocks:
-            if atom in block:
-                return block
-        raise ValueError(f"atom {atom!r} not covered by the partition")
+        """The block holding the atom."""
+        if atom not in self._block_of:
+            raise ValueError(f"atom {atom!r} not covered by the partition")
+        return self._block_of[atom]
 
 
 def trivial_sigma(atoms) -> SigmaAlgebra:
@@ -147,17 +147,17 @@ def generate_sigma(atoms, family) -> SigmaAlgebra:
 
 
 def refines(finer: SigmaAlgebra, coarser: SigmaAlgebra) -> bool:
-    """True iff every block of ``finer`` sits inside a block of ``coarser``."""
+    """True iff every block of ``finer`` sits inside a block of ``coarser``.
+    Over one universe a block sits inside some coarser block exactly when
+    it sits inside the coarser block of any one of its atoms."""
     if finer.universe != coarser.universe:
         return False
-    return all(any(fb <= cb for cb in coarser.blocks) for fb in finer.blocks)
+    return all(fb <= coarser.block_of(next(iter(fb))) for fb in finer.blocks)
 
 
 def is_measurable(subset, sigma: SigmaAlgebra) -> bool:
     subset = frozenset(subset)
-    if not subset <= sigma.universe:
-        raise ValueError("subset must live inside the sigma-algebra's universe")
-    return all(block <= subset or not block & subset for block in sigma.blocks)
+    return measurable_cover(subset, sigma) == subset
 
 
 def measurable_cover(subset, sigma: SigmaAlgebra) -> frozenset:
@@ -166,33 +166,10 @@ def measurable_cover(subset, sigma: SigmaAlgebra) -> frozenset:
     subset = frozenset(subset)
     if not subset <= sigma.universe:
         raise ValueError("subset must live inside the sigma-algebra's universe")
-    cover: set = set()
-    for block in sigma.blocks:
-        if block & subset:
-            cover |= block
-    return frozenset(cover)
+    return frozenset().union(*{sigma.block_of(a) for a in subset})
 
 
 def outer_measure(subset, sigma: SigmaAlgebra, space: SampleSpace) -> Fraction:
     """Infimum of probabilities of measurable supersets, attained by the
     measurable cover; agrees with the plain probability on measurable sets."""
     return space.prob(measurable_cover(subset, sigma))
-
-
-class OuterMeasure:
-    """Outer measure bound to one space and sigma-algebra, with a small
-    evaluation cache for repeated queries."""
-
-    def __init__(self, space: SampleSpace, sigma: SigmaAlgebra):
-        self.space = space
-        self.sigma = sigma
-        self._cache: dict = {}
-
-    def __call__(self, subset) -> Fraction:
-        key = frozenset(subset)
-        if key not in self._cache:
-            self._cache[key] = outer_measure(key, self.sigma, self.space)
-        return self._cache[key]
-
-    def cover(self, subset) -> frozenset:
-        return measurable_cover(subset, self.sigma)

@@ -17,7 +17,6 @@ from fractions import Fraction
 from itertools import product
 
 from .filtered import (
-    INF,
     FilteredSpace,
     RandomTime,
     StochasticSet,
@@ -149,20 +148,18 @@ def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinSche
     min(tuple) slices; evaluation recovers the full set while every node
     stays an interval-realizable predictable set.
     """
-    if not is_set_of_kind(P_set, X, "predictable"):
-        raise ValueError("scheme construction needs a predictable set")
+    pairs = to_interval_representation(P_set, X).pairs
     ground = _cell_ground(X)
-    active = [k for k in range(X.n_times) if P_set.slice_at(k)]
-    if not active:
+    if not pairs:
         return empty_scheme(Paving(ground, (0,)))
     cumulative = []
-    acc = StochasticSet.empty()
-    for k in active:
-        acc = acc | StochasticSet(frozenset((a, k) for a in P_set.slice_at(k)))
+    acc = frozenset()
+    for left, _ in pairs:
+        acc |= graph(left).cells
         cumulative.append(acc)
-    paving = Paving.from_sets(ground, [frozenset()] + [c.cells for c in cumulative])
-    cum_masks = [paving.mask_of(c.cells) for c in cumulative]
-    r = len(active)
+    paving = Paving.from_sets(ground, [frozenset()] + cumulative)
+    cum_masks = [paving.mask_of(c) for c in cumulative]
+    r = len(pairs)
     nodes = {}
     for length in range(1, r + 1):
         for index in product(range(1, r + 1), repeat=length):
@@ -276,24 +273,14 @@ def decompose_optional(O: StochasticSet, X: FilteredSpace) -> OptionalDecomposit
         slice_k = O.slice_at(k)
         if not slice_k:
             continue
-        inside = set()
-        for block in X.lookback(k).blocks:
-            if block <= slice_k:
-                inside |= block
+        lookback = X.lookback(k)
+        meeting = {lookback.block_of(a) for a in slice_k}
+        inside = frozenset().union(*(block for block in meeting if block <= slice_k))
         pred_cells.update((a, k) for a in inside)
         rest = slice_k - inside
         if rest:
             thin.append(restrict(constant_time(X.atoms, k), rest))
     return OptionalDecomposition(StochasticSet(frozenset(pred_cells)), tuple(thin))
-
-
-def _drop_cells(tau: RandomTime, forbidden: StochasticSet) -> RandomTime:
-    """The time whose graph is graph(tau) minus the forbidden cells."""
-    values = {}
-    for atom, v in tau.values.items():
-        keep = v != INF and (atom, v) not in forbidden.cells
-        values[atom] = v if keep else INF
-    return RandomTime(values)
 
 
 def optional_section(O: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_SOUSLIN) -> SectionResult:
@@ -306,11 +293,9 @@ def optional_section(O: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_
     if not is_set_of_kind(O, X, "optional"):
         raise ValueError("optional_section needs an optional set")
     part = decompose_optional(O, X)
+    # The predictable part never leaves O, so the inner section's graph
+    # already lies inside O.
     inner = predictable_section(part.predictable_part, X, eps / 2, strategy)
-    # The predictable part never leaves O here, so the forbidden set is
-    # empty; the graph intersection is kept for fidelity to the contract.
-    forbidden = part.predictable_part - O
-    rho = _drop_cells(inner.time, forbidden)
 
     remainder = O - part.predictable_part
     remainder_mass = X.space.prob(projection(remainder))
@@ -323,7 +308,7 @@ def optional_section(O: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_
         covered = covered | t.finite_support()
     tau = combine_min(chosen) if chosen else infinite_time(X.atoms)
 
-    time = combine_min([rho, tau])
+    time = combine_min([inner.time, tau])
     target_outer = _outer(X, projection(O))
     deficit = target_outer - X.space.prob(time.finite_support())
     oracle = target_outer - X.space.prob(projection(O))

@@ -14,7 +14,6 @@ keeps every equality test exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from math import isqrt
 
@@ -102,13 +101,11 @@ class Paving:
     def set_of(self, mask: int) -> frozenset:
         return frozenset(e for i, e in enumerate(self.ground) if mask >> i & 1)
 
-    def is_member_mask(self, mask: int) -> bool:
-        return mask in set(self.member_masks)
-
     def closed_under_finite_ops(self) -> bool:
         """True iff pairwise unions and intersections of members stay members,
         verified by enumeration (pairwise closure implies finite closure)."""
-        return _closed_under_finite_ops(self)
+        members = set(self.member_masks)
+        return all(a | b in members and a & b in members for a in members for b in members)
 
 
 def _mask_of(ground, elems) -> int:
@@ -119,16 +116,6 @@ def _mask_of(ground, elems) -> int:
             raise ValueError(f"element {e!r} is not in the ground set")
         mask |= 1 << pos[e]
     return mask
-
-
-@lru_cache(maxsize=None)
-def _closed_under_finite_ops(paving: Paving) -> bool:
-    members = set(paving.member_masks)
-    for a in members:
-        for b in members:
-            if a | b not in members or a & b not in members:
-                return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -367,7 +354,7 @@ def scheme_from_literal(obj) -> SouslinScheme:
         raw_nodes = dict(obj["nodes"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"scheme literal missing or malformed field: {exc}") from exc
-    if not isinstance(depth, int) or not isinstance(branching, int):
+    if any(not isinstance(v, int) or isinstance(v, bool) for v in (depth, branching)):
         raise ValueError("scheme depth and branching must be integers")
     paving = Paving.from_sets(ground, members)
     nodes = {}

@@ -205,3 +205,58 @@ def test_reports_are_byte_identical_across_runs(capsys, argv):
     second = run_cli(capsys, ["--seed", "1"] + argv)
     assert first == second
     assert first[0] == 0
+
+
+def write_document(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_zero_denominator_weight_is_a_violation(capsys, tmp_path):
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["space"]["probs"][0] = "1/0"
+    path = write_document(tmp_path, doc)
+    code, out, err = run_cli(capsys, ["validate", path])
+    assert code == 3
+    assert "Traceback" not in err
+    assert any("zero denominator" in line for line in json.loads(out)["violations"])
+
+
+def test_zero_denominator_epsilon_is_a_precondition_failure(capsys):
+    code, out, err = run_cli(capsys, ["section", "--kind", "predictable", "--set", "P", "--epsilon", "1/0", FIX_B])
+    assert code == 4
+    assert out == ""
+    assert "precondition failure" in err
+
+
+def test_bool_cell_index_is_a_parse_error(capsys, tmp_path):
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["sets"]["P"].append(["w1", True])
+    path = write_document(tmp_path, doc)
+    code, out, err = run_cli(capsys, ["validate", path])
+    assert code == 2
+    assert out == ""
+    assert "parse error" in err
+
+
+def test_bool_scheme_depth_is_a_violation(capsys, tmp_path):
+    # B has depth 1, so only the bool check can refuse depth true (== 1)
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["schemes"]["B"]["depth"] = True
+    path = write_document(tmp_path, doc)
+    code, out, _ = run_cli(capsys, ["validate", path])
+    assert code == 3
+    assert json.loads(out)["violations"] == ["schemes.B: scheme depth and branching must be integers"]
+
+
+# Exit code and exact stdout of acceptance criterion 9's commands and of
+# validate on the bad_* fixtures; argv names documents by file name only.
+GOLDEN = json.loads((FIXTURES / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("record", GOLDEN, ids=lambda r: " ".join(r["argv"][2:]))
+def test_reports_match_golden_bytes(capsys, record):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, out) == (record["exit"], record["stdout"])

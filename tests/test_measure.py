@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsection import (
-    OuterMeasure,
     SampleSpace,
     SigmaAlgebra,
     discrete_sigma,
@@ -21,7 +20,7 @@ from finsection import (
     trivial_sigma,
 )
 
-from gen import all_partitions, all_sigmas, measurable_subsets, oracle_outer
+from gen import all_partitions, all_sigmas, measurable_subsets, oracle_outer, oracle_refines
 
 
 def subsets_of(atoms):
@@ -136,6 +135,26 @@ def test_cover_minimality():
                     assert not A <= sub
 
 
+def test_block_lookups_match_block_scans_exhaustive():
+    # every partition of every atom prefix up to five atoms, against the
+    # definitions that scan the blocks of plain frozensets
+    prefixes = [tuple("abcde"[:n]) for n in range(1, 6)]
+    sigmas = [SigmaAlgebra(p) for atoms in prefixes for p in all_partitions(atoms)]
+    for finer in sigmas:
+        for coarser in sigmas:
+            assert refines(finer, coarser) == oracle_refines(finer, coarser)
+    for sigma in sigmas:
+        universe = frozenset().union(*sigma.blocks)
+        for atom in universe:
+            assert sigma.block_of(atom) == next(b for b in sigma.blocks if atom in b)
+        with pytest.raises(ValueError):
+            sigma.block_of("z")
+        for A in subsets_of(sorted(universe)):
+            cover = frozenset().union(*(b for b in sigma.blocks if b & A))
+            assert measurable_cover(A, sigma) == cover
+            assert is_measurable(A, sigma) == all(b <= A or not b & A for b in sigma.blocks)
+
+
 # ------------------------------------------------------------ outer measure
 
 def test_outer_measure_examples():
@@ -205,17 +224,6 @@ def test_outer_measure_continuity_random_larger_spaces():
         values = [outer_measure(s, sigma, space) for s in chain]
         assert values == sorted(values)
         assert outer_measure(frozenset().union(*chain), sigma, space) == values[-1]
-
-
-def test_bound_outer_measure_agrees_and_caches():
-    atoms = ("a", "b", "c")
-    space = SampleSpace(atoms, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
-    sigma = SigmaAlgebra((frozenset({"a", "b"}), frozenset({"c"})))
-    bound = OuterMeasure(space, sigma)
-    for A in subsets_of(atoms):
-        assert bound(A) == outer_measure(A, sigma, space)
-        assert bound(A) == bound(A)
-        assert bound.cover(A) == measurable_cover(A, sigma)
 
 
 def test_outer_measure_matches_enumeration_oracle_on_random_spaces():
