@@ -83,6 +83,24 @@ def time_to_literal(tau: RandomTime) -> dict:
     return {atom: ("inf" if v == INF else int(v)) for atom, v in tau.values.items()}
 
 
+def _filtration_violations(space: SampleSpace, sigmas) -> list[str]:
+    """One line per partition that misses the atom set or, when all cover
+    it, per step that fails to refine the one before."""
+    universe = frozenset(space.atoms)
+    lines = [
+        f"filtration[{k}] does not partition the atom set"
+        for k, sigma in enumerate(sigmas)
+        if sigma.universe != universe
+    ]
+    if lines:
+        return lines
+    return [
+        f"filtration[{k}] does not refine filtration[{k - 1}]"
+        for k in range(1, len(sigmas))
+        if not refines(sigmas[k], sigmas[k - 1])
+    ]
+
+
 def build_document(obj: dict):
     """Construct a document from parsed JSON.
 
@@ -126,19 +144,11 @@ def build_document(obj: dict):
         if len(sigmas) != len(grid):
             violations.append("filtration: need exactly one partition per grid point")
         else:
-            universe = frozenset(space.atoms)
-            ok = True
-            for k, sigma in enumerate(sigmas):
-                if sigma.universe != universe:
-                    violations.append(f"filtration[{k}] does not partition the atom set")
-                    ok = False
-            if ok:
-                for k in range(1, len(sigmas)):
-                    if not refines(sigmas[k], sigmas[k - 1]):
-                        violations.append(f"filtration[{k}] does not refine filtration[{k - 1}]")
-                        ok = False
-            if ok:
+            try:
                 X = FilteredSpace(space, grid, tuple(sigmas))
+            except ValueError:
+                # the space stops at its first fault; list every one
+                violations.extend(_filtration_violations(space, sigmas))
 
     known_atoms = frozenset(space.atoms) if space is not None else None
     sets: dict[str, StochasticSet] = {}

@@ -249,8 +249,8 @@ def combine_min(times) -> RandomTime:
     times = list(times)
     if not times:
         raise ValueError("combine_min needs at least one time")
-    atoms = set(times[0].values)
-    if any(set(t.values) != atoms for t in times):
+    atoms = times[0].values.keys()
+    if any(t.values.keys() != atoms for t in times):
         raise ValueError("combined times must share the atom set")
     return RandomTime({a: min(t.values[a] for t in times) for a in atoms})
 
@@ -259,8 +259,8 @@ def combine_sup(times) -> RandomTime:
     times = list(times)
     if not times:
         raise ValueError("combine_sup needs at least one time")
-    atoms = set(times[0].values)
-    if any(set(t.values) != atoms for t in times):
+    atoms = times[0].values.keys()
+    if any(t.values.keys() != atoms for t in times):
         raise ValueError("combined times must share the atom set")
     return RandomTime({a: max(t.values[a] for t in times) for a in atoms})
 

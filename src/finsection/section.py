@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 from .filtered import (
     FilteredSpace,
@@ -30,7 +29,7 @@ from .filtered import (
     restrict,
 )
 from .measure import discrete_sigma, outer_measure
-from .souslin import Paving, SouslinScheme, check_monotone, empty_scheme
+from .souslin import CumulativeNodes, Paving, SouslinScheme, check_monotone, empty_scheme
 
 __all__ = [
     "STRATEGY_DEBUT",
@@ -146,7 +145,8 @@ def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinSche
     With r nonempty slices the scheme has depth and branching r, and the
     node at an index tuple is the cumulative union of the first
     min(tuple) slices; evaluation recovers the full set while every node
-    stays an interval-realizable predictable set.
+    stays an interval-realizable predictable set.  The nodes are computed
+    from the r cumulative masks, not stored.
     """
     pairs = to_interval_representation(P_set, X).pairs
     ground = _cell_ground(X)
@@ -158,13 +158,8 @@ def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinSche
         acc |= graph(left).cells
         cumulative.append(acc)
     paving = Paving.from_sets(ground, [frozenset()] + cumulative)
-    cum_masks = [paving.mask_of(c) for c in cumulative]
     r = len(pairs)
-    nodes = {}
-    for length in range(1, r + 1):
-        for index in product(range(1, r + 1), repeat=length):
-            nodes[index] = cum_masks[min(index) - 1]
-    return SouslinScheme(paving, r, r, nodes)
+    return SouslinScheme(paving, r, r, CumulativeNodes(paving.mask_of(c) for c in cumulative))
 
 
 def _mask_to_set(paving: Paving, mask: int) -> StochasticSet:

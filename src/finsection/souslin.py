@@ -13,12 +13,14 @@ keeps every equality test exact.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import product
 from math import isqrt
 
 __all__ = [
     "Paving",
+    "CumulativeNodes",
     "SouslinScheme",
     "theta",
     "theta_inv",
@@ -118,28 +120,68 @@ def _mask_of(ground, elems) -> int:
     return mask
 
 
+class CumulativeNodes(Mapping):
+    """Read-only node map of a cumulative scheme, computed from its masks.
+
+    With r masks the keys are every index tuple of length 1..r with entries
+    in 1..r, and the node at a key is ``masks[min(key) - 1]``.  It reads
+    exactly like the dict of those Σ r^l entries, but nothing is stored
+    beyond the r masks: keys are enumerated lazily and counted
+    arithmetically (so ``len`` overflows past r = 15, where the count
+    exceeds ``sys.maxsize``).
+    """
+
+    def __init__(self, masks):
+        self.masks = tuple(masks)
+
+    def __getitem__(self, key):
+        r = len(self.masks)
+        if not 1 <= len(key) <= r or min(key) < 1 or max(key) > r:
+            raise KeyError(key)
+        return self.masks[min(key) - 1]
+
+    def __iter__(self):
+        r = len(self.masks)
+        for length in range(1, r + 1):
+            yield from product(range(1, r + 1), repeat=length)
+
+    def __len__(self):
+        r = len(self.masks)
+        return sum(r**length for length in range(1, r + 1))
+
+
 @dataclass(frozen=True, eq=False)
 class SouslinScheme:
     """Finitely generated Souslin scheme.
 
-    ``nodes`` stores masks for index tuples within the (depth, branching)
-    bounds; missing in-bounds indices default to the full ground set, the
-    internal top value.  The empty mask is admitted as an internal bottom
-    (it backs the degenerate empty scheme).
+    ``nodes`` maps index tuples within the (depth, branching) bounds to
+    masks; missing in-bounds indices default to the full ground set, the
+    internal top value.  It is a dict of stored entries, or a
+    :class:`CumulativeNodes` that computes them.  The empty mask is
+    admitted as an internal bottom (it backs the degenerate empty scheme).
     """
 
     paving: Paving
     depth: int
     branching: int
-    nodes: dict
+    nodes: Mapping
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", dict(self.nodes))
         if self.depth < 1 or self.branching < 1:
             raise ValueError("depth and branching bounds must be positive")
         allowed = set(self.paving.member_masks)
         allowed.add(self.paving.full_mask)
         allowed.add(0)
+        if isinstance(self.nodes, CumulativeNodes):
+            # the keys lie in 1..r by construction, so the bounds and the r
+            # masks cover every entry
+            r = len(self.nodes.masks)
+            if r > self.depth or r > self.branching:
+                raise ValueError(f"cumulative nodes over {r} masks violate the scheme bounds")
+            if any(mask not in allowed for mask in self.nodes.masks):
+                raise ValueError("cumulative node value is not a paving member")
+            return
+        object.__setattr__(self, "nodes", dict(self.nodes))
         for index, mask in self.nodes.items():
             if not index or len(index) > self.depth:
                 raise ValueError(f"stored index {index!r} violates the depth bound")
@@ -153,10 +195,12 @@ class SouslinScheme:
         depth truncates to the bound, entries clamp to the branching bound."""
         if not index:
             raise ValueError("scheme index must be nonempty")
-        if any(e < 1 for e in index):
+        if min(index) < 1:
             raise ValueError("scheme index entries must be positive")
         b = self.branching
-        key = tuple(min(e, b) for e in index[: self.depth])
+        key = tuple(index[: self.depth])
+        if max(key) > b:
+            key = tuple(min(e, b) for e in key)
         return self.nodes.get(key, self.paving.full_mask)
 
     def node_set(self, index) -> frozenset:
@@ -175,17 +219,34 @@ def empty_scheme(paving: Paving) -> SouslinScheme:
 
 
 def _eval_mask(s: SouslinScheme) -> int:
+    """Depth-first walk over the bounded index tree with an explicit stack.
+
+    ``running[k]`` is the intersection along ``index[:k]``, computed once
+    and extended to each child.  A subtree whose running intersection is
+    already inside the result cannot add to it and is skipped; the walk
+    stops once the result is the full set.
+    """
     full = s.paving.full_mask
+    depth, branching = s.depth, s.branching
     result = 0
-    for branch in product(range(1, s.branching + 1), repeat=s.depth):
-        cur = full
-        for k in range(1, s.depth + 1):
-            cur &= s.node(branch[:k])
-            if not cur:
+    index = [0]
+    running = [full]
+    while index:
+        index[-1] += 1
+        if index[-1] > branching or not running[-1] & ~result:
+            index.pop()
+            running.pop()
+            continue
+        cur = running[-1] & s.node(tuple(index))
+        if not cur & ~result:
+            continue
+        if len(index) == depth:
+            result |= cur
+            if result == full:
                 break
-        result |= cur
-        if result == full:
-            break
+            continue
+        index.append(0)
+        running.append(cur)
     return result
 
 
@@ -297,29 +358,25 @@ def check_monotone(s: SouslinScheme) -> tuple[bool, bool]:
     Vertical: every child set is contained in its parent.  Horizontal:
     raising one entry by one step never shrinks the set (transitivity then
     gives full coordinatewise dominance).
+
+    Only stored nodes can break either property: a vertical violation
+    needs a parent below the full set, and a horizontal one a raised index
+    below the full set, and every in-bounds index off ``nodes`` reads as
+    the full set.  So the walk covers ``nodes``, not the whole index space.
     """
-    vertical = True
-    for length in range(1, s.depth):
-        for index in product(range(1, s.branching + 1), repeat=length):
-            parent = s.node(index)
-            if any(s.node(index + (j,)) & ~parent for j in range(1, s.branching + 1)):
-                vertical = False
-                break
-        if not vertical:
-            break
-    horizontal = True
-    for length in range(1, s.depth + 1):
-        for index in product(range(1, s.branching + 1), repeat=length):
-            here = s.node(index)
-            for pos in range(length):
-                if index[pos] < s.branching:
-                    bumped = index[:pos] + (index[pos] + 1,) + index[pos + 1 :]
-                    if here & ~s.node(bumped):
-                        horizontal = False
-                        break
-            if not horizontal:
-                break
-        if not horizontal:
+    full = s.paving.full_mask
+    vertical = horizontal = True
+    for index, mask in s.nodes.items():
+        if mask == full:
+            continue
+        if vertical and len(index) < s.depth and any(s.node(index + (j,)) & ~mask for j in range(1, s.branching + 1)):
+            vertical = False
+        if horizontal:
+            for pos, e in enumerate(index):
+                if e > 1 and s.node(index[:pos] + (e - 1,) + index[pos + 1 :]) & ~mask:
+                    horizontal = False
+                    break
+        if not (vertical or horizontal):
             break
     return vertical, horizontal
 
@@ -328,10 +385,9 @@ def scheme_to_literal(s: SouslinScheme) -> dict:
     """JSON-ready literal: ground_set, paving, depth, branching, and nodes
     keyed by dotted index strings."""
     ground = [str(e) for e in s.paving.ground]
-    order = {e: i for i, e in enumerate(s.paving.ground)}
 
     def elems(mask):
-        return [str(e) for e in sorted(s.paving.set_of(mask), key=order.get)]
+        return [e for i, e in enumerate(ground) if mask >> i & 1]
 
     return {
         "ground_set": ground,

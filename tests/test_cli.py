@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,17 @@ def test_validate_reports_refinement_violation(capsys):
     report = json.loads(out)
     assert report["status"] == "invalid"
     assert any("filtration[1]" in line for line in report["violations"])
+
+
+def test_validate_lists_every_refinement_violation(capsys, tmp_path):
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["filtration"] = [doc["filtration"][2], doc["filtration"][1], doc["filtration"][0]]
+    code, out, _ = run_cli(capsys, ["validate", write_document(tmp_path, doc)])
+    assert code == 3
+    assert json.loads(out)["violations"] == [
+        "filtration[1] does not refine filtration[0]",
+        "filtration[2] does not refine filtration[1]",
+    ]
 
 
 def test_validate_collects_weight_and_bound_violations(capsys):
@@ -161,6 +173,28 @@ def test_souslin_union_intersect_monotonize(capsys):
     assert mono["eval"] == ["a", "b", "c"]
     assert mono["monotone"] == [True, True]
     assert "result_scheme" in mono
+
+
+def test_souslin_eval_on_a_wide_sparse_literal_within_budget(capsys, tmp_path):
+    # depth 12 x branching 10 is 10^12 branches, but only one node is stored
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["schemes"] = {
+        "S": {
+            "ground_set": ["a", "b"],
+            "paving": [["a"], ["a", "b"]],
+            "depth": 12,
+            "branching": 10,
+            "nodes": {"1": ["a"]},
+        }
+    }
+    path = write_document(tmp_path, doc)
+    t0 = time.perf_counter()
+    assert run_json(capsys, ["validate", path])["status"] == "ok"
+    report = run_json(capsys, ["souslin", "eval", "--scheme", "S", path])
+    elapsed = time.perf_counter() - t0
+    assert report["eval"] == ["a", "b"]
+    assert report["monotone"] == [False, True]
+    assert elapsed < 1.0, f"took {elapsed:.2f}s (budget 1s)"
 
 
 def test_souslin_eval_rejects_multiple_schemes(capsys):

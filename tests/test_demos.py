@@ -14,3 +14,14 @@ def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
+
+
+def test_section_demo_output_is_independent_of_the_hash_seed():
+    demo = ROOT / "demos" / "04_section_theorems.py"
+    outputs = set()
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+        result = subprocess.run([sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        outputs.add(result.stdout)
+    assert len(outputs) == 1

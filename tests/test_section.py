@@ -1,11 +1,15 @@
 import random
+import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from finsection import (
     INF,
+    FilteredSpace,
     Paving,
+    SampleSpace,
     RandomTime,
     SouslinScheme,
     StochasticSet,
@@ -29,9 +33,12 @@ from finsection import (
     restrict,
     section_from_scheme,
     to_interval_representation,
+    TimeGrid,
+    discrete_sigma,
     STRATEGY_DEBUT,
     STRATEGY_SOUSLIN,
 )
+from finsection.souslin import CumulativeNodes, scheme_to_literal
 
 import gen
 from gen import fix_a, fix_b, oracle_eval
@@ -131,6 +138,89 @@ def test_scheme_eval_matches_bruteforce_on_random_sets():
         nodes = {idx: s.paving.set_of(mask) for idx, mask in s.nodes.items()}
         assert oracle_eval(s.paving.ground, nodes, s.depth, s.branching) == P.cells
         assert eval_scheme(s) == P.cells
+
+
+def explicit_cumulative_literal(P, X):
+    """Literal of the table {idx: cum[min(idx) - 1]} over every index with
+    length and entries in 1..r, where cum[i] is the union of the first i + 1
+    nonempty slices of P."""
+    ground = [(a, k) for a in X.atoms for k in range(X.n_times)]
+    cum = []
+    acc = set()
+    for k in range(X.n_times):
+        row = {cell for cell in P.cells if cell[1] == k}
+        if row:
+            acc |= row
+            cum.append(frozenset(acc))
+    r = len(cum)
+    values = [[str(c) for c in ground if c in cells] for cells in cum]
+    return {
+        "ground_set": [str(c) for c in ground],
+        "paving": [[]] + values,
+        "depth": r,
+        "branching": r,
+        "nodes": {
+            ".".join(map(str, idx)): values[min(idx) - 1]
+            for length in range(1, r + 1)
+            for idx in sorted(product(range(1, r + 1), repeat=length))
+        },
+    }
+
+
+def test_closed_form_scheme_matches_explicit_table_exhaustive():
+    # the scheme of a predictable set depends on the set and the cells of the
+    # space only, so each (atoms, grid length, set) is checked once
+    seen = set()
+    for X in gen.exhaustive_spaces(4, 3):
+        for P in gen.predictable_sets_of(X):
+            key = (X.atoms, X.n_times, P.cells)
+            if not P.cells or key in seen:
+                continue
+            seen.add(key)
+            s = build_monotone_scheme(P, X)
+            assert isinstance(s.nodes, CumulativeNodes)
+            assert scheme_to_literal(s) == explicit_cumulative_literal(P, X)
+
+
+def test_section_from_scheme_checks_every_computed_value():
+    # a monotone cumulative scheme whose first mask, w1 at index 1, is not
+    # predictable under the trivial partition at index 0
+    X = fix_b()
+    ground = tuple((a, k) for a in X.atoms for k in range(X.n_times))
+    first = frozenset({("w1", 1)})
+    second = first | {("w1", 2)}
+    paving = Paving.from_sets(ground, [frozenset(), first, second])
+    scheme = SouslinScheme(paving, 2, 2, CumulativeNodes([paving.mask_of(first), paving.mask_of(second)]))
+    assert check_monotone(scheme) == (True, True)
+    with pytest.raises(ValueError):
+        section_from_scheme(scheme, X, Fraction(0))
+
+
+def test_souslin_route_on_a_grid_of_64_points_within_budget():
+    # 63 active slices: the stored table would hold sum 63^l nodes
+    atoms = tuple(f"w{i}" for i in range(1, 9))
+    space = SampleSpace(atoms, tuple(Fraction(i, 36) for i in range(1, 9)))
+    grid = TimeGrid(tuple(Fraction(k) for k in range(64)))
+    X = FilteredSpace(space, grid, tuple(discrete_sigma(atoms) for _ in range(64)))
+    P = StochasticSet(frozenset(
+        cell
+        for k in range(1, 64)
+        for cell in ((atoms[(k - 1) % 8], k), (atoms[3 * k % 8], k))
+    ))
+    t0 = time.perf_counter()
+    exact = predictable_section(P, X, Fraction(0), STRATEGY_DEBUT)
+    for eps in (Fraction(0), Fraction(1, 4)):
+        res = predictable_section(P, X, eps, STRATEGY_SOUSLIN)
+        assert len(res.trace.chosen_prefix) == 63
+        assert 0 <= res.deficit <= eps
+        assert res.deficit == weight_deficit(X, P, res.time)
+        assert res.trace.oracle_deficit == 0
+        assert is_predictable_time(res.time, X)
+        assert graph(res.time) <= P
+        if eps == 0:
+            assert X.space.prob(res.time.finite_support()) == X.space.prob(exact.time.finite_support())
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"souslin route at grid 64 took {elapsed:.2f}s (budget 5s)"
 
 
 # ------------------------------------------------------ predictable section

@@ -18,6 +18,7 @@ from finsection import (
     theta_inv,
 )
 
+from finsection.souslin import CumulativeNodes, scheme_from_literal
 from gen import closure_under_ops, oracle_eval
 
 GROUND3 = ("1", "2", "3")
@@ -148,6 +149,22 @@ def test_eval_truncation_agrees_with_deep_oracle():
                 key = branch[:k]
                 deep[key] = nodes.get(key[: s.depth], frozenset(s.paving.ground))
         assert eval_of(s) == oracle_eval(s.paving.ground, deep, s.depth + 2, s.branching)
+
+
+def test_eval_deep_single_branch_literal_matches_oracle():
+    # one branch of depth 3000: the walk keeps its own stack, so a depth far
+    # past the recursion limit evaluates, and each prefix is intersected once
+    depth = 3000
+    literal = {
+        "ground_set": list(GROUND3),
+        "paving": [["1", "2"], ["2", "3"], ["2"]],
+        "depth": depth,
+        "branching": 1,
+        "nodes": {"1": ["1", "2"], ".".join(["1"] * 1500): ["1", "2"], ".".join(["1"] * depth): ["2", "3"]},
+    }
+    s = scheme_from_literal(literal)
+    nodes = {idx: s.paving.set_of(mask) for idx, mask in s.nodes.items()}
+    assert eval_of(s) == oracle_eval(s.paving.ground, nodes, depth, 1) == {"2"}
 
 
 def test_eval_monotone_in_branching_bound():
@@ -298,6 +315,101 @@ def test_horizontal_violation_detection():
     s = make_scheme(paving, 1, 2, {(1,): ["1", "2"], (2,): ["1"]})
     _, horizontal = check_monotone(s)
     assert not horizontal
+
+
+def full_walk_monotone(s):
+    """Monotonicity flags by visiting every in-bounds index and its
+    children and raised neighbours."""
+    b = s.branching
+    vertical = all(
+        not s.node(index + (j,)) & ~s.node(index)
+        for length in range(1, s.depth)
+        for index in product(range(1, b + 1), repeat=length)
+        for j in range(1, b + 1)
+    )
+    horizontal = all(
+        not s.node(index) & ~s.node(index[:pos] + (index[pos] + 1,) + index[pos + 1 :])
+        for length in range(1, s.depth + 1)
+        for index in product(range(1, b + 1), repeat=length)
+        for pos in range(length)
+        if index[pos] < b
+    )
+    return vertical, horizontal
+
+
+def test_check_monotone_stored_walk_matches_full_walk():
+    rng = random.Random(3003)
+    seen = set()
+    for size in (2, 3, 4):
+        ground = tuple(str(i) for i in range(size))
+        closed = all_subsets_paving(ground)
+        chain = Paving.from_sets(ground, [ground[:i] for i in range(size + 1)])
+        for paving in (closed, chain):
+            full = paving.full_mask
+            for _ in range(150):
+                s = random_scheme(rng, paving)
+                # store some full-valued nodes explicitly, and drop others
+                nodes = {
+                    idx: full if rng.random() < 0.2 else mask
+                    for idx, mask in s.nodes.items()
+                    if rng.random() < 0.8
+                }
+                for scheme in (s, SouslinScheme(paving, s.depth, s.branching, nodes), monotonize(s)):
+                    flags = check_monotone(scheme)
+                    assert flags == full_walk_monotone(scheme)
+                    seen.add(flags)
+                    raised = scheme.with_branching(scheme.branching + 1)
+                    assert check_monotone(raised) == full_walk_monotone(raised)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_wide_sparse_literal_evaluates_and_checks_at_once():
+    # 10^12 branches and indices, but one stored node: the branch through
+    # (2,) reads only full nodes, and only (1,) can break monotonicity
+    paving = Paving.from_sets(("a", "b"), [["a"], ["a", "b"]])
+    s = make_scheme(paving, 12, 10, {(1,): ["a"]})
+    assert eval_of(s) == {"a", "b"}
+    assert check_monotone(s) == (False, True)
+
+
+# -------------------------------------------------------- cumulative nodes
+
+def test_cumulative_nodes_read_as_their_table():
+    paving = all_subsets_paving(GROUND3)
+    masks = [paving.mask_of(["1"]), paving.mask_of(["1", "2"]), paving.mask_of(GROUND3)]
+    nodes = CumulativeNodes(masks)
+    table = {
+        idx: masks[min(idx) - 1]
+        for length in range(1, 4)
+        for idx in product(range(1, 4), repeat=length)
+    }
+    assert len(nodes) == len(table) == 3 + 9 + 27
+    assert list(nodes) == sorted(table, key=lambda idx: (len(idx), idx))
+    assert dict(nodes.items()) == table
+    for key in [(), (4,), (0, 1), (1, 1, 1, 1)]:
+        assert key not in nodes
+    computed = SouslinScheme(paving, 3, 3, nodes)
+    stored = SouslinScheme(paving, 3, 3, table)
+    assert check_monotone(computed) == (True, True)
+    for scheme in (computed, computed.with_branching(5)):
+        twin = stored.with_branching(scheme.branching)
+        assert eval_of(scheme) == eval_of(twin)
+        assert check_monotone(scheme) == check_monotone(twin) == full_walk_monotone(twin)
+        for idx in product(range(1, scheme.branching + 2), repeat=4):
+            assert scheme.node(idx) == twin.node(idx)
+
+
+def test_cumulative_nodes_are_validated_by_masks_and_bounds():
+    paving = Paving.from_sets(GROUND3, [["1"], ["1", "2"]])
+    masks = [paving.mask_of(["1"]), paving.mask_of(["1", "2"])]
+    SouslinScheme(paving, 2, 2, CumulativeNodes(masks))
+    SouslinScheme(paving, 3, 4, CumulativeNodes(masks))
+    with pytest.raises(ValueError):
+        SouslinScheme(paving, 1, 2, CumulativeNodes(masks))
+    with pytest.raises(ValueError):
+        SouslinScheme(paving, 2, 1, CumulativeNodes(masks))
+    with pytest.raises(ValueError):
+        SouslinScheme(paving, 2, 2, CumulativeNodes([masks[0], paving.mask_of(["2"])]))
 
 
 # ------------------------------------------------------------- invariants
