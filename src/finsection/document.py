@@ -101,6 +101,27 @@ def _filtration_violations(space: SampleSpace, sigmas) -> list[str]:
     ]
 
 
+def _set_literal_slices(name, literal) -> dict:
+    """Group a set literal's [atom, index] pairs by index; a malformed
+    literal raises DocumentParseError."""
+    shape = f"sets.{name} must be an array of [atom, index] pairs"
+    if not isinstance(literal, list):
+        raise DocumentParseError(shape)
+    slices: dict[int, list] = {}
+    for pair in literal:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise DocumentParseError(shape)
+        atom, k = pair
+        if not isinstance(atom, str) or not isinstance(k, int) or isinstance(k, bool):
+            raise DocumentParseError(shape)
+        row = slices.get(k)
+        if row is None:
+            slices[k] = [atom]
+        else:
+            row.append(atom)
+    return slices
+
+
 def build_document(obj: dict):
     """Construct a document from parsed JSON.
 
@@ -153,29 +174,19 @@ def build_document(obj: dict):
     known_atoms = frozenset(space.atoms) if space is not None else None
     sets: dict[str, StochasticSet] = {}
     for name, literal in _optional(obj, "sets", "document").items():
-        if not isinstance(literal, list):
-            raise DocumentParseError(f"sets.{name} must be an array of [atom, index] pairs")
-        cells = set()
-        bad = False
-        for pair in literal:
-            if not (
-                isinstance(pair, list)
-                and len(pair) == 2
-                and isinstance(pair[0], str)
-                and isinstance(pair[1], int)
-                and not isinstance(pair[1], bool)
-            ):
-                raise DocumentParseError(f"sets.{name} must be an array of [atom, index] pairs")
-            atom, k = pair
+        slices = _set_literal_slices(name, literal)
+        if all(
+            (known_atoms is None or known_atoms.issuperset(atoms)) and (grid is None or 0 <= k < len(grid))
+            for k, atoms in slices.items()
+        ):
+            sets[name] = StochasticSet.from_slices(slices)
+            continue
+        # a slice failed: list every bad pair, in document order
+        for atom, k in literal:
             if known_atoms is not None and atom not in known_atoms:
                 violations.append(f"sets.{name}: unknown atom {atom!r}")
-                bad = True
             if grid is not None and not 0 <= k < len(grid):
                 violations.append(f"sets.{name}: index {k} outside the grid")
-                bad = True
-            cells.add((atom, k))
-        if not bad:
-            sets[name] = StochasticSet(frozenset(cells))
 
     times: dict[str, RandomTime] = {}
     for name, literal in _optional(obj, "times", "document").items():

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .measure import SampleSpace, SigmaAlgebra, is_measurable, refines
@@ -71,6 +72,7 @@ class FilteredSpace:
         if len(self.filtration) != len(self.grid):
             raise ValueError("need exactly one sigma-algebra per grid point")
         universe = frozenset(self.space.atoms)
+        object.__setattr__(self, "_atom_set", universe)
         for k, sigma in enumerate(self.filtration):
             if sigma.universe != universe:
                 raise ValueError(f"filtration[{k}] does not partition the atom set")
@@ -81,6 +83,10 @@ class FilteredSpace:
     @property
     def atoms(self) -> tuple[str, ...]:
         return self.space.atoms
+
+    @property
+    def atom_set(self) -> frozenset:
+        return self._atom_set
 
     @property
     def n_times(self) -> int:
@@ -132,40 +138,82 @@ def infinite_time(atoms) -> RandomTime:
     return RandomTime({a: INF for a in atoms})
 
 
-@dataclass(frozen=True)
 class StochasticSet:
-    """Subset of atoms x grid indices, stored as (atom, index) cells."""
+    """Subset of atoms x grid indices, stored as one atom frozenset per
+    nonempty slice.  ``cells`` is a derived view of (atom, index) pairs;
+    sets with the same cells compare and hash equal."""
 
-    cells: frozenset
+    __slots__ = ("slices",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "cells", frozenset(tuple(c) for c in self.cells))
+    def __init__(self, cells=frozenset()):
+        slices: dict = {}
+        for atom, k in cells:
+            slices.setdefault(k, set()).add(atom)
+        self._store(slices)
+
+    @classmethod
+    def from_slices(cls, slices) -> "StochasticSet":
+        """Build from a mapping index -> atoms; empty slices are dropped."""
+        out = cls.__new__(cls)
+        out._store(slices)
+        return out
+
+    def _store(self, slices):
+        frozen = ((k, frozenset(atoms)) for k, atoms in slices.items())
+        object.__setattr__(self, "slices", MappingProxyType({k: atoms for k, atoms in frozen if atoms}))
 
     @classmethod
     def empty(cls) -> "StochasticSet":
-        return cls(frozenset())
+        return cls.from_slices({})
 
     @classmethod
     def rectangle(cls, atoms, n_times: int) -> "StochasticSet":
-        return cls(frozenset((a, k) for a in atoms for k in range(n_times)))
+        row = frozenset(atoms)
+        return cls.from_slices({k: row for k in range(n_times)})
+
+    @property
+    def cells(self) -> frozenset:
+        return frozenset((a, k) for k, atoms in self.slices.items() for a in atoms)
 
     def slice_at(self, k: int) -> frozenset:
-        return frozenset(a for a, j in self.cells if j == k)
+        return self.slices.get(k, frozenset())
+
+    def __setattr__(self, name, value):
+        raise AttributeError("StochasticSet is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, StochasticSet):
+            return NotImplemented
+        return self.slices == other.slices
+
+    def __hash__(self):
+        return hash(frozenset(self.slices.items()))
+
+    def __repr__(self):
+        return f"StochasticSet.from_slices({dict(sorted(self.slices.items()))!r})"
 
     def __or__(self, other):
-        return StochasticSet(self.cells | other.cells)
+        out = dict(self.slices)
+        for k, atoms in other.slices.items():
+            out[k] = out[k] | atoms if k in out else atoms
+        return StochasticSet.from_slices(out)
 
     def __and__(self, other):
-        return StochasticSet(self.cells & other.cells)
+        theirs = other.slices
+        return StochasticSet.from_slices({k: atoms & theirs[k] for k, atoms in self.slices.items() if k in theirs})
 
     def __sub__(self, other):
-        return StochasticSet(self.cells - other.cells)
+        theirs = other.slices
+        return StochasticSet.from_slices(
+            {k: atoms - theirs[k] if k in theirs else atoms for k, atoms in self.slices.items()}
+        )
 
     def __le__(self, other):
-        return self.cells <= other.cells
+        theirs = other.slices
+        return all(k in theirs and atoms <= theirs[k] for k, atoms in self.slices.items())
 
     def __bool__(self):
-        return bool(self.cells)
+        return bool(self.slices)
 
 
 class TimeClassification(NamedTuple):
@@ -199,20 +247,28 @@ def is_predictable_time(tau: RandomTime, X: FilteredSpace) -> bool:
 
 def debut(S: StochasticSet, X: FilteredSpace) -> RandomTime:
     """First entry time into the set per atom, infinity when never entered."""
-    firsts: dict = {a: INF for a in X.atoms}
-    for atom, k in S.cells:
-        if atom not in firsts:
-            raise ValueError(f"cell atom {atom!r} is not in the space")
-        if k < 0 or k >= X.n_times:
+    firsts: dict = dict.fromkeys(X.atoms, INF)
+    n = X.n_times
+    entered: set = set()
+    for k in sorted(S.slices):
+        atoms = S.slices[k]
+        if not atoms <= X.atom_set:
+            raise ValueError(f"cell atom {next(iter(atoms - X.atom_set))!r} is not in the space")
+        if k < 0 or k >= n:
             raise ValueError(f"cell index {k} is outside the grid")
-        if firsts[atom] == INF or k < firsts[atom]:
-            firsts[atom] = k
+        new = atoms - entered
+        firsts.update(dict.fromkeys(new, k))
+        entered |= new
     return RandomTime(firsts)
 
 
 def graph(tau: RandomTime) -> StochasticSet:
     """The cells (atom, tau(atom)) where the time is finite."""
-    return StochasticSet(frozenset((a, v) for a, v in tau.values.items() if v != INF))
+    slices: dict = {}
+    for atom, v in tau.values.items():
+        if v != INF:
+            slices.setdefault(v, []).append(atom)
+    return StochasticSet.from_slices(slices)
 
 
 def interval(
@@ -230,13 +286,14 @@ def interval(
     """
     if set(rho.values) != set(tau.values):
         raise ValueError("interval endpoints must share the atom set")
-    cells = set()
+    n = X.n_times
+    slices: dict = {}
     for atom in rho.values:
         lo, hi = rho.values[atom], tau.values[atom]
-        for k in range(X.n_times):
+        for k in range(n):
             if (lo <= k if left_closed else lo < k) and (k <= hi if right_closed else k < hi):
-                cells.add((atom, k))
-    return StochasticSet(frozenset(cells))
+                slices.setdefault(k, []).append(atom)
+    return StochasticSet.from_slices(slices)
 
 
 def restrict(tau: RandomTime, subset) -> RandomTime:
@@ -283,15 +340,14 @@ def is_set_of_kind(S: StochasticSet, X: FilteredSpace, kind: str) -> bool:
     (index 0 at itself)."""
     if kind not in ("predictable", "optional"):
         raise ValueError(f"unknown stochastic set kind {kind!r}")
-    atoms = frozenset(X.atoms)
-    for atom, k in S.cells:
-        if atom not in atoms or k < 0 or k >= X.n_times:
-            raise ValueError(f"cell ({atom!r}, {k}) is outside the space")
-    for k in range(X.n_times):
-        sigma = X.sigma_at(k) if kind == "optional" else X.lookback(k)
-        if not is_measurable(S.slice_at(k), sigma):
-            return False
-    return True
+    n, universe = X.n_times, X.atom_set
+    for k, atoms in S.slices.items():
+        in_grid = 0 <= k < n
+        if not (in_grid and atoms <= universe):
+            outside = atoms - universe if in_grid else atoms
+            raise ValueError(f"cell ({next(iter(outside))!r}, {k}) is outside the space")
+    sigma_for = X.sigma_at if kind == "optional" else X.lookback
+    return all(is_measurable(atoms, sigma_for(k)) for k, atoms in S.slices.items())
 
 
 def classify_time(tau: RandomTime, X: FilteredSpace) -> TimeClassification:

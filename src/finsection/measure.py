@@ -7,6 +7,7 @@ exact, so no tolerances appear anywhere.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,12 +26,13 @@ __all__ = [
     "outer_measure",
 ]
 
-_RATIONAL = re.compile(r"^-?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def parse_rational(text) -> Fraction:
-    """Parse a "p/q" (or bare integer) literal into an exact Fraction."""
-    if not isinstance(text, str) or not _RATIONAL.match(text):
+    """Parse a "p/q" (or bare integer) literal of ASCII digits into an exact
+    Fraction; the whole string must match, with no surrounding whitespace."""
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
     try:
         return Fraction(text)
@@ -46,7 +48,10 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class SampleSpace:
-    """Ordered finite atom list with exact nonnegative weights summing to 1."""
+    """Ordered finite atom list with exact nonnegative weights summing to 1.
+
+    Each weight is also kept as an integer numerator over one common
+    denominator, so a probability is an integer sum and one Fraction."""
 
     atoms: tuple[str, ...]
     weights: tuple[Fraction, ...]
@@ -62,9 +67,12 @@ class SampleSpace:
             raise ValueError("exactly one weight per atom required")
         if any(w < 0 for w in self.weights):
             raise ValueError("weights must be nonnegative")
-        if sum(self.weights) != 1:
+        denominator = math.lcm(*{w.denominator for w in self.weights})
+        numerators = [w.numerator * (denominator // w.denominator) for w in self.weights]
+        if sum(numerators) != denominator:
             raise ValueError("weights must sum to exactly 1")
-        object.__setattr__(self, "_weight_of", dict(zip(self.atoms, self.weights)))
+        object.__setattr__(self, "_denominator", denominator)
+        object.__setattr__(self, "_numerator_of", dict(zip(self.atoms, numerators)))
 
     @classmethod
     def uniform(cls, atoms) -> "SampleSpace":
@@ -72,17 +80,17 @@ class SampleSpace:
         return cls(atoms, tuple(Fraction(1, len(atoms)) for _ in atoms))
 
     def weight(self, atom: str) -> Fraction:
-        return self._weight_of[atom]
+        return Fraction(self._numerator_of[atom], self._denominator)
 
     def prob(self, subset) -> Fraction:
         """Exact probability of a set of atoms."""
-        w = self._weight_of
-        total = Fraction(0)
-        for atom in set(subset):
-            if atom not in w:
-                raise ValueError(f"unknown atom {atom!r}")
-            total += w[atom]
-        return total
+        if not isinstance(subset, (set, frozenset)):
+            subset = set(subset)
+        try:
+            total = sum(map(self._numerator_of.__getitem__, subset))
+        except KeyError as exc:
+            raise ValueError(f"unknown atom {exc.args[0]!r}") from None
+        return Fraction(total, self._denominator)
 
 
 @dataclass(frozen=True)
@@ -96,14 +104,16 @@ class SigmaAlgebra:
     blocks: tuple[frozenset, ...]
 
     def __post_init__(self):
-        blocks = tuple(sorted((frozenset(b) for b in self.blocks), key=sorted))
-        object.__setattr__(self, "blocks", blocks)
+        blocks = [frozenset(b) for b in self.blocks]
         if not blocks:
             raise ValueError("partition needs at least one block")
+        if not all(blocks):
+            raise ValueError("partition blocks must be nonempty")
+        # disjoint blocks have distinct minima, so this is the order of key=sorted
+        blocks = tuple(sorted(blocks, key=min))
+        object.__setattr__(self, "blocks", blocks)
         block_of = {}
         for block in blocks:
-            if not block:
-                raise ValueError("partition blocks must be nonempty")
             for atom in block:
                 if atom in block_of:
                     raise ValueError("partition blocks must be pairwise disjoint")

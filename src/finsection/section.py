@@ -92,7 +92,7 @@ class OptionalDecomposition:
 
 def projection(S: StochasticSet) -> frozenset:
     """Atoms whose section of the set is nonempty."""
-    return frozenset(atom for atom, _ in S.cells)
+    return frozenset().union(*S.slices.values())
 
 
 def _outer(X: FilteredSpace, subset) -> Fraction:
@@ -124,10 +124,8 @@ def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> Interv
         raise ValueError("interval representation needs a predictable set")
     pairs = []
     realized = StochasticSet.empty()
-    for k in range(X.n_times):
-        slice_k = P_set.slice_at(k)
-        if not slice_k:
-            continue
+    for k in sorted(P_set.slices):
+        slice_k = P_set.slices[k]
         left = restrict(constant_time(X.atoms, k), slice_k)
         right = constant_time(X.atoms, k)
         pairs.append((left, right))
@@ -262,20 +260,23 @@ def decompose_optional(O: StochasticSet, X: FilteredSpace) -> OptionalDecomposit
     """
     if not is_set_of_kind(O, X, "optional"):
         raise ValueError("decompose_optional needs an optional set")
-    pred_cells = set()
+    return _decompose(O, X)
+
+
+def _decompose(O: StochasticSet, X: FilteredSpace) -> OptionalDecomposition:
+    """decompose_optional on a set already known to be optional."""
+    predictable = {}
     thin = []
-    for k in range(X.n_times):
-        slice_k = O.slice_at(k)
-        if not slice_k:
-            continue
+    for k in sorted(O.slices):
+        slice_k = O.slices[k]
         lookback = X.lookback(k)
         meeting = {lookback.block_of(a) for a in slice_k}
         inside = frozenset().union(*(block for block in meeting if block <= slice_k))
-        pred_cells.update((a, k) for a in inside)
+        predictable[k] = inside
         rest = slice_k - inside
         if rest:
             thin.append(restrict(constant_time(X.atoms, k), rest))
-    return OptionalDecomposition(StochasticSet(frozenset(pred_cells)), tuple(thin))
+    return OptionalDecomposition(StochasticSet.from_slices(predictable), tuple(thin))
 
 
 def optional_section(O: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_SOUSLIN) -> SectionResult:
@@ -287,7 +288,13 @@ def optional_section(O: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_
     strategy = _normalize_strategy(strategy)
     if not is_set_of_kind(O, X, "optional"):
         raise ValueError("optional_section needs an optional set")
-    part = decompose_optional(O, X)
+    return _optional_section(O, X, eps, strategy)
+
+
+def _optional_section(O: StochasticSet, X: FilteredSpace, eps: Fraction, strategy: str) -> SectionResult:
+    """optional_section on a set already known to be optional, with eps and
+    strategy already checked."""
+    part = _decompose(O, X)
     # The predictable part never leaves O, so the inner section's graph
     # already lies inside O.
     inner = predictable_section(part.predictable_part, X, eps / 2, strategy)
@@ -320,4 +327,4 @@ def accessible_section(A_set: StochasticSet, X: FilteredSpace, eps, strategy=STR
     """
     if not is_set_of_kind(A_set, X, "optional"):
         raise ValueError("accessible_section needs an optional set")
-    return optional_section(A_set, X, eps, strategy)
+    return _optional_section(A_set, X, _check_epsilon(eps), _normalize_strategy(strategy))

@@ -9,6 +9,7 @@ from fractions import Fraction
 from itertools import product
 
 from finsection import (
+    INF,
     FilteredSpace,
     SampleSpace,
     SigmaAlgebra,
@@ -220,6 +221,17 @@ def oracle_eval(ground, nodes, depth, branching) -> frozenset:
             cur &= nodes.get(branch[:k], ground)
         result |= cur
     return frozenset(result)
+
+
+def oracle_projection(cells) -> frozenset:
+    """Atoms of a plain frozenset of (atom, index) cells."""
+    return frozenset(atom for atom, _ in cells)
+
+
+def oracle_debut(cells, atoms) -> dict:
+    """First index per atom over a plain frozenset of cells, INF when the
+    atom has no cell."""
+    return {a: min((k for b, k in cells if b == a), default=INF) for a in atoms}
 
 
 def oracle_outer(subset, sigma: SigmaAlgebra, space: SampleSpace) -> Fraction:

@@ -264,6 +264,34 @@ def test_zero_denominator_epsilon_is_a_precondition_failure(capsys):
     assert "precondition failure" in err
 
 
+@pytest.mark.parametrize("literal", ["1/4\n", "\u0661/4"], ids=["trailing-newline", "arabic-indic-digit"])
+def test_non_ascii_or_newline_weight_is_a_violation(capsys, tmp_path, literal):
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["space"]["probs"][0] = literal
+    code, out, err = run_cli(capsys, ["validate", write_document(tmp_path, doc)])
+    assert code == 3
+    assert "Traceback" not in err
+    assert json.loads(out)["violations"] == [f"space: not a rational literal: {literal!r}"]
+
+
+@pytest.mark.parametrize("literal", ["2\n", "\u0662"], ids=["trailing-newline", "arabic-indic-digit"])
+def test_non_ascii_or_newline_grid_label_is_a_violation(capsys, tmp_path, literal):
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["grid"][2] = literal
+    code, out, _ = run_cli(capsys, ["validate", write_document(tmp_path, doc)])
+    assert code == 3
+    assert json.loads(out)["violations"] == [f"grid: not a rational literal: {literal!r}"]
+
+
+@pytest.mark.parametrize("literal", ["1/8\n", "\u0661/8"], ids=["trailing-newline", "arabic-indic-digit"])
+def test_non_ascii_or_newline_epsilon_is_a_precondition_failure(capsys, literal):
+    argv = ["section", "--kind", "predictable", "--set", "P", "--epsilon", literal, FIX_B]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert "precondition failure: not a rational literal" in err
+
+
 def test_bool_cell_index_is_a_parse_error(capsys, tmp_path):
     doc = json.loads(Path(FIX_B).read_text())
     doc["sets"]["P"].append(["w1", True])
@@ -291,6 +319,20 @@ GOLDEN = json.loads((FIXTURES / "golden_cli.json").read_text())
 
 @pytest.mark.parametrize("record", GOLDEN, ids=lambda r: " ".join(r["argv"][2:]))
 def test_reports_match_golden_bytes(capsys, record):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, out) == (record["exit"], record["stdout"])
+
+
+# Exit code and exact stdout of the debut-wide benchmark's six commands on a
+# generated 64-atom, 16-step document (bench/workloads.py's debut document),
+# recorded before sets were stored by slice; this holds the block order of
+# the classify-time cover and the key order of time literals.
+GOLDEN_DEBUT = json.loads((FIXTURES / "golden_debut.json").read_text())
+
+
+@pytest.mark.parametrize("record", GOLDEN_DEBUT, ids=lambda r: " ".join(r["argv"][:5]))
+def test_debut_scale_reports_match_golden_bytes(capsys, record):
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
     code, out, _ = run_cli(capsys, argv)
     assert (code, out) == (record["exit"], record["stdout"])

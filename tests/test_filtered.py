@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsection import (
     INF,
@@ -23,6 +25,7 @@ from finsection import (
     is_predictable_time,
     is_set_of_kind,
     is_stopping_time,
+    projection,
     restrict,
     shift,
     trivial_sigma,
@@ -135,6 +138,60 @@ def test_graph_of_debut_contained_in_set():
         X = gen.random_filtered_space(rng, max_atoms=5, max_times=4)
         S = gen.random_any_set(rng, X)
         assert graph(debut(S, X)) <= S
+
+
+# --------------------------------------------------------- representation
+
+ORACLE_ATOMS = gen.ATOM_NAMES  # at most 6 atoms
+ORACLE_TIMES = 5
+plain_cells = st.frozensets(
+    st.tuples(st.sampled_from(ORACLE_ATOMS), st.integers(0, ORACLE_TIMES - 1)), max_size=30
+)
+
+
+def oracle_slices(cells) -> dict:
+    out: dict = {}
+    for atom, k in cells:
+        out.setdefault(k, set()).add(atom)
+    return out
+
+
+def oracle_space() -> FilteredSpace:
+    space = SampleSpace.uniform(ORACLE_ATOMS)
+    grid = TimeGrid(tuple(Fraction(k) for k in range(ORACLE_TIMES)))
+    return FilteredSpace(space, grid, (discrete_sigma(ORACLE_ATOMS),) * ORACLE_TIMES)
+
+
+@given(plain_cells, plain_cells)
+@settings(max_examples=200, deadline=None)
+def test_slices_agree_with_plain_cell_sets(ca, cb):
+    A, B = StochasticSet(ca), StochasticSet(cb)
+    # both constructors, with and without empty slices, build one set
+    padded = {**{k: [] for k in range(-1, ORACLE_TIMES + 1)}, **oracle_slices(ca)}
+    for other in (StochasticSet.from_slices(oracle_slices(ca)), StochasticSet.from_slices(padded)):
+        assert other == A and hash(other) == hash(A)
+    assert A.cells == ca
+    assert StochasticSet(A.cells) == A
+    for k in range(-1, ORACLE_TIMES + 1):
+        assert A.slice_at(k) == {a for a, j in ca if j == k}
+    assert (A | B).cells == ca | cb
+    assert (A & B).cells == ca & cb
+    assert (A - B).cells == ca - cb
+    assert (A <= B) == (ca <= cb)
+    assert (A == B) == (ca == cb)
+    assert bool(A) == bool(ca)
+    assert projection(A) == gen.oracle_projection(ca)
+    assert debut(A, oracle_space()).values == gen.oracle_debut(ca, ORACLE_ATOMS)
+
+
+def test_cells_outside_the_space_are_refused():
+    X = fix_a()
+    for cells in ({("w1", 2)}, {("w1", -1)}, {("zz", 0)}, {("w1", 0), ("zz", 1)}):
+        S = StochasticSet(cells)
+        with pytest.raises(ValueError, match="outside the space"):
+            is_set_of_kind(S, X, "optional")
+        with pytest.raises(ValueError):
+            debut(S, X)
 
 
 # -------------------------------------------------------------- intervals

@@ -45,6 +45,14 @@ def test_rational_rejects_noise():
             parse_rational(bad)
 
 
+def test_rational_needs_the_whole_string_in_ascii_digits():
+    # "$" would match before a trailing newline, and both \d and Fraction
+    # take non-ASCII decimal digits
+    for bad in ("1/2\n", "3\n", " 1/2", "1/2 ", "\u0661/2", "1/\u0662", "\uff11", "1\n/2"):
+        with pytest.raises(ValueError, match="not a rational literal"):
+            parse_rational(bad)
+
+
 # ------------------------------------------------------------ sample space
 
 def test_space_validation():
@@ -60,6 +68,32 @@ def test_space_allows_zero_weights():
     space = SampleSpace(("a", "b"), (Fraction(1), Fraction(0)))
     assert space.prob({"b"}) == 0
     assert space.prob({"a", "b"}) == 1
+
+
+def test_prob_matches_a_fraction_sum_with_mixed_denominators():
+    rng = random.Random(404)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        atoms = tuple(f"x{i}" for i in range(n))
+        cuts = sorted(Fraction(rng.randint(0, 60), rng.choice((1, 2, 3, 5, 7, 12, 60))) for _ in range(n - 1))
+        cuts = [min(c, Fraction(1)) for c in cuts]
+        weights = [b - a for a, b in zip([Fraction(0)] + cuts, cuts + [Fraction(1)])]
+        space = SampleSpace(atoms, weights)
+        for atom, w in zip(atoms, weights):
+            assert space.weight(atom) == w
+        for _ in range(5):
+            subset = [a for a in atoms if rng.random() < 0.5]
+            oracle = sum((w for a, w in zip(atoms, weights) if a in subset), Fraction(0))
+            assert space.prob(frozenset(subset)) == oracle
+            assert space.prob(subset + subset) == oracle  # each atom counted once
+        with pytest.raises(ValueError, match="unknown atom 'zz'"):
+            space.prob({atoms[0], "zz"})
+
+
+def test_weights_must_sum_to_one_over_mixed_denominators():
+    SampleSpace(("a", "b", "c"), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
+    with pytest.raises(ValueError, match="sum to exactly 1"):
+        SampleSpace(("a", "b", "c"), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))
 
 
 # ---------------------------------------------------------- generate_sigma
@@ -133,6 +167,27 @@ def test_cover_minimality():
             for sub in measurable_subsets(sigma):
                 if sub < cover:
                     assert not A <= sub
+
+
+def test_blocks_are_ordered_as_their_sorted_atom_lists():
+    rng = random.Random(505)
+    atoms = [f"a{i}" for i in range(12)]
+    for _ in range(300):
+        pool = rng.sample(atoms, rng.randint(1, len(atoms)))
+        labels = [rng.randrange(len(pool)) for _ in pool]
+        blocks = [frozenset(a for a, lab in zip(pool, labels) if lab == j) for j in set(labels)]
+        rng.shuffle(blocks)
+        assert SigmaAlgebra(blocks).blocks == tuple(sorted(blocks, key=sorted))
+
+
+def test_partition_blocks_must_be_nonempty():
+    for blocks in ([frozenset()], [frozenset({"a"}), frozenset()], [frozenset(), frozenset({"a"}), frozenset({"a"})]):
+        with pytest.raises(ValueError, match="partition blocks must be nonempty"):
+            SigmaAlgebra(blocks)
+    with pytest.raises(ValueError, match="partition needs at least one block"):
+        SigmaAlgebra(())
+    with pytest.raises(ValueError, match="pairwise disjoint"):
+        SigmaAlgebra([frozenset({"a", "b"}), frozenset({"b"})])
 
 
 def test_block_lookups_match_block_scans_exhaustive():

@@ -456,6 +456,50 @@ def test_optional_section_preconditions():
         optional_section(StochasticSet.empty(), X, Fraction(-1))
 
 
+# ------------------------------------------------------- kind checks, once
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (decompose_optional, "decompose_optional needs an optional set"),
+        (lambda S, X: optional_section(S, X, Fraction(0)), "optional_section needs an optional set"),
+        (lambda S, X: accessible_section(S, X, Fraction(0)), "accessible_section needs an optional set"),
+        (lambda S, X: predictable_section(S, X, Fraction(0)), "predictable_section needs a predictable set"),
+    ],
+    ids=["decompose_optional", "optional_section", "accessible_section", "predictable_section"],
+)
+def test_each_public_entry_refuses_a_set_of_the_wrong_kind(entry, message):
+    X = fix_b()
+    not_optional = StochasticSet(frozenset({("w1", 0)}))  # needs the trivial sigma at 0
+    with pytest.raises(ValueError, match=message):
+        entry(not_optional, X)
+
+
+@pytest.mark.parametrize("strategy", ["debut", "souslin"])
+def test_each_public_entry_checks_its_set_once(monkeypatch, strategy):
+    import finsection.section as section_module
+
+    calls = []
+    checked = section_module.is_set_of_kind
+
+    def counting(S, X, kind):
+        calls.append((S, kind))
+        return checked(S, X, kind)
+
+    monkeypatch.setattr(section_module, "is_set_of_kind", counting)
+    X = fix_b()
+    O = StochasticSet(frozenset({("w1", 1), ("w2", 1), ("w3", 2), ("w4", 2)}))
+    part = decompose_optional(O, X)
+    assert calls == [(O, "optional")]
+    for entry in (optional_section, accessible_section):
+        calls.clear()
+        entry(O, X, Fraction(0), strategy)
+        assert [kind for S, kind in calls if S is O] == ["optional"]
+        assert {(S, kind) for S, kind in calls if S is not O} == {(part.predictable_part, "predictable")}
+        if strategy == "debut":
+            assert len(calls) == 2
+
+
 # ------------------------------------------------------- accessible section
 
 def test_accessible_section_empty():
