@@ -114,6 +114,10 @@ def _normalize_strategy(strategy: str) -> str:
     raise ValueError(f"unknown section strategy {strategy!r}")
 
 
+class _NotPredictable(ValueError):
+    """A set refused by to_interval_representation for its kind."""
+
+
 def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> IntervalUnion:
     """Realize a predictable set as a union of one closed interval per
     nonempty slice: the left endpoint is the slice-restricted constant
@@ -121,7 +125,7 @@ def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> Interv
     the right endpoint the same constant, so each interval is exactly the
     slice's row of cells."""
     if not is_set_of_kind(P_set, X, "predictable"):
-        raise ValueError("interval representation needs a predictable set")
+        raise _NotPredictable("interval representation needs a predictable set")
     pairs = []
     realized = StochasticSet.empty()
     for k in sorted(P_set.slices):
@@ -161,7 +165,7 @@ def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinSche
 
 
 def _mask_to_set(paving: Paving, mask: int) -> StochasticSet:
-    return StochasticSet(frozenset(paving.set_of(mask)))
+    return StochasticSet(paving.set_of(mask))
 
 
 def _souslin_sweep(scheme: SouslinScheme, X: FilteredSpace, eps: Fraction, target_outer: Fraction):
@@ -227,13 +231,18 @@ def predictable_section(P_set: StochasticSet, X: FilteredSpace, eps, strategy=ST
     """
     eps = _check_epsilon(eps)
     strategy = _normalize_strategy(strategy)
-    if not is_set_of_kind(P_set, X, "predictable"):
-        raise ValueError("predictable_section needs a predictable set")
+    refused = "predictable_section needs a predictable set"
     if strategy == STRATEGY_DEBUT:
+        if not is_set_of_kind(P_set, X, "predictable"):
+            raise ValueError(refused)
         time = debut(P_set, X)
         deficit = _outer(X, projection(P_set)) - X.space.prob(time.finite_support())
         return SectionResult(time, deficit, STRATEGY_DEBUT, SectionTrace((), (), deficit))
-    scheme = build_monotone_scheme(P_set, X)
+    # the scheme's interval representation checks the kind
+    try:
+        scheme = build_monotone_scheme(P_set, X)
+    except _NotPredictable as exc:
+        raise ValueError(refused) from exc
     return _souslin_section(scheme, X, eps, P_set)
 
 

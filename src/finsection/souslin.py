@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, compress, product, repeat
 from math import isqrt
 
 __all__ = [
@@ -63,7 +63,9 @@ def theta_inv(n: int) -> tuple[int, int]:
 class Paving:
     """A finite, nonempty collection of subsets of a finite ground set.
 
-    ``ground`` fixes the element order; members are bitmasks over it.
+    ``ground`` fixes the element order; members are bitmasks over it.  The
+    element -> bit table that :meth:`mask_of` reads, and the set of values a
+    scheme node may take, are built once, here.
     """
 
     ground: tuple
@@ -72,7 +74,8 @@ class Paving:
     def __post_init__(self):
         if not self.ground:
             raise ValueError("ground set must be nonempty")
-        if len(set(self.ground)) != len(self.ground):
+        bits = _bit_map(self.ground)
+        if len(bits) != len(self.ground):
             raise ValueError("ground set elements must be distinct")
         if not self.member_masks:
             raise ValueError("paving needs at least one member")
@@ -80,17 +83,15 @@ class Paving:
         for mask in self.member_masks:
             if mask < 0 or mask & ~full:
                 raise ValueError("paving member is not a subset of the ground set")
+        object.__setattr__(self, "_bits", bits)
+        # members plus the internal top (full) and bottom (empty) values
+        object.__setattr__(self, "_node_values", frozenset(self.member_masks) | {0, full})
 
     @classmethod
     def from_sets(cls, ground, members) -> "Paving":
         ground = tuple(ground)
-        masks = []
-        seen = set()
-        for member in members:
-            mask = _mask_of(ground, member)
-            if mask not in seen:
-                seen.add(mask)
-                masks.append(mask)
+        bits = _bit_map(ground)
+        masks = dict.fromkeys(_mask_with(bits, member) for member in members)
         return cls(ground, tuple(masks))
 
     @property
@@ -98,10 +99,10 @@ class Paving:
         return (1 << len(self.ground)) - 1
 
     def mask_of(self, elems) -> int:
-        return _mask_of(self.ground, elems)
+        return _mask_with(self._bits, elems)
 
     def set_of(self, mask: int) -> frozenset:
-        return frozenset(e for i, e in enumerate(self.ground) if mask >> i & 1)
+        return frozenset(_elements(self.ground, mask))
 
     def closed_under_finite_ops(self) -> bool:
         """True iff pairwise unions and intersections of members stay members,
@@ -110,14 +111,31 @@ class Paving:
         return all(a | b in members and a & b in members for a in members for b in members)
 
 
-def _mask_of(ground, elems) -> int:
-    pos = {e: i for i, e in enumerate(ground)}
+def _bit_map(ground) -> dict:
+    """Element -> bit of its position; a repeated element keeps its last."""
+    try:
+        return {e: 1 << i for i, e in enumerate(ground)}
+    except TypeError:
+        raise ValueError("ground set elements must be hashable") from None
+
+
+def _mask_with(bits, elems) -> int:
+    try:
+        items = iter(elems)
+    except TypeError:
+        raise ValueError(f"{elems!r} is not a collection of ground elements") from None
     mask = 0
-    for e in elems:
-        if e not in pos:
-            raise ValueError(f"element {e!r} is not in the ground set")
-        mask |= 1 << pos[e]
+    for e in items:
+        try:
+            mask |= bits[e]
+        except (KeyError, TypeError):  # an unhashable element is not in the ground set either
+            raise ValueError(f"element {e!r} is not in the ground set") from None
     return mask
+
+
+def _elements(ground, mask) -> list:
+    """Elements of ``ground`` whose bit is set, in ground order."""
+    return [e for e, bit in zip(ground, bin(mask)[:1:-1]) if bit == "1"]
 
 
 class CumulativeNodes(Mapping):
@@ -169,20 +187,28 @@ class SouslinScheme:
     def __post_init__(self):
         if self.depth < 1 or self.branching < 1:
             raise ValueError("depth and branching bounds must be positive")
-        allowed = set(self.paving.member_masks)
-        allowed.add(self.paving.full_mask)
-        allowed.add(0)
+        allowed = self.paving._node_values
         if isinstance(self.nodes, CumulativeNodes):
             # the keys lie in 1..r by construction, so the bounds and the r
             # masks cover every entry
             r = len(self.nodes.masks)
             if r > self.depth or r > self.branching:
                 raise ValueError(f"cumulative nodes over {r} masks violate the scheme bounds")
-            if any(mask not in allowed for mask in self.nodes.masks):
+            if not allowed.issuperset(self.nodes.masks):
                 raise ValueError("cumulative node value is not a paving member")
             return
-        object.__setattr__(self, "nodes", dict(self.nodes))
-        for index, mask in self.nodes.items():
+        nodes = dict(self.nodes)
+        object.__setattr__(self, "nodes", nodes)
+        if not nodes or (
+            all(nodes)
+            and max(map(len, nodes)) <= self.depth
+            and min(entries := set(chain.from_iterable(nodes))) >= 1
+            and max(entries) <= self.branching
+            and allowed.issuperset(nodes.values())
+        ):
+            return
+        # some entry is bad: name the first one
+        for index, mask in nodes.items():
             if not index or len(index) > self.depth:
                 raise ValueError(f"stored index {index!r} violates the depth bound")
             if any(e < 1 or e > self.branching for e in index):
@@ -268,6 +294,39 @@ def _shared_paving(schemes, paving):
     return paving
 
 
+def _read_through(source: SouslinScheme, axes, full: int) -> list:
+    """Masks of ``source`` over ``product(*axes)``, in product order.
+
+    Each axis lists the entries one output coordinate takes, already mapped
+    to the source (clamped to its branching bound), or only ``None`` where
+    the source does not read that coordinate; the entries that are not
+    ``None``, in order, form the source index.  Every stored node of that
+    length is read once, into a table keyed by its pattern with ``None`` at
+    the unread coordinates, and the product is looked up in it.
+    """
+    read = [i for i, axis in enumerate(axes) if axis[0] is not None]
+    table = {}
+    for key, mask in source.nodes.items():
+        if len(key) == len(read):
+            pattern = [None] * len(axes)
+            for i, e in zip(read, key):
+                pattern[i] = e
+            table[tuple(pattern)] = mask
+    return list(map(table.get, product(*axes), repeat(full)))
+
+
+def _clamped(source: SouslinScheme, branching: int) -> tuple:
+    """Entries 1..branching clamped to the source's branching bound."""
+    return tuple(min(e, source.branching) for e in range(1, branching + 1))
+
+
+def _store_level(nodes: dict, length: int, branching: int, values: list, full: int):
+    """Add the non-full ``values``, given over every index of ``length``
+    entries in 1..branching in product order, to ``nodes``."""
+    indices = product(range(1, branching + 1), repeat=length)
+    nodes.update(compress(zip(indices, values), map(full.__ne__, values)))
+
+
 def merge_union(schemes, paving: Paving | None = None) -> SouslinScheme:
     """One scheme whose evaluation is the union of the inputs' evaluations.
 
@@ -284,14 +343,25 @@ def merge_union(schemes, paving: Paving | None = None) -> SouslinScheme:
     depth = max(s.depth for s in schemes)
     branching = max(theta(s.branching, m) for m, s in enumerate(schemes, start=1))
     full = paving.full_mask
+    skip = (None,) * branching
     nodes = {}
     for length in range(1, depth + 1):
-        for index in product(range(1, branching + 1), repeat=length):
-            first, which = theta_inv(index[0])
-            source = schemes[min(which, count) - 1]
-            mask = source.node((first,) + index[1:])
-            if mask != full:
-                nodes[index] = mask
+        block = branching ** (length - 1)
+        # source number -> its masks over (first entry in 1..its branching)
+        # x (output entries 2..length), one block per first entry
+        read = {}
+        values = []
+        for entry in range(1, branching + 1):
+            first, which = theta_inv(entry)
+            which = min(which, count)
+            source = schemes[which - 1]
+            if which not in read:
+                used = min(length, source.depth)
+                axes = [range(1, source.branching + 1)] + [_clamped(source, branching)] * (used - 1)
+                read[which] = _read_through(source, axes + [skip] * (length - used), full)
+            first = min(first, source.branching)
+            values += read[which][(first - 1) * block : first * block]
+        _store_level(nodes, length, branching, values, full)
     return SouslinScheme(paving, depth, branching, nodes)
 
 
@@ -311,15 +381,16 @@ def merge_intersection(schemes, paving: Paving | None = None) -> SouslinScheme:
     branching = max(s.branching for s in schemes)
     depth = max(theta(s.depth, m) for m, s in enumerate(schemes, start=1))
     full = paving.full_mask
+    skip = (None,) * branching
     nodes = {}
     for length in range(1, depth + 1):
         level, which = theta_inv(length)
         source = schemes[min(which, count) - 1]
-        positions = [theta(j, which) for j in range(1, level + 1)]
-        for index in product(range(1, branching + 1), repeat=length):
-            mask = source.node(tuple(index[p - 1] for p in positions))
-            if mask != full:
-                nodes[index] = mask
+        # the source reads its first min(level, depth) coordinates
+        positions = {theta(j, which) for j in range(1, min(level, source.depth) + 1)}
+        clamped = _clamped(source, branching)
+        axes = [clamped if p in positions else skip for p in range(1, length + 1)]
+        _store_level(nodes, length, branching, _read_through(source, axes, full), full)
     return SouslinScheme(paving, depth, branching, nodes)
 
 
@@ -330,25 +401,39 @@ def monotonize(s: SouslinScheme) -> SouslinScheme:
     coordinatewise, of the intersections along their prefixes.  Requires
     the paving to be closed under finite unions and intersections so every
     rebuilt value stays representable.
+
+    Write T(p, t) for that union below the prefix p, over the tuples n <= t
+    appended to p, so the node at h is T((), h).  Splitting on the first
+    entry of n gives
+
+        T(p, (t1,) + rest) = T(p, (t1 - 1,) + rest) | (s(p + (t1,)) & T(p + (t1,), rest))
+
+    with T(p, (0,) + rest) empty and T(p, ()) full.  For each length l the
+    tables are filled from the longest prefixes up, l + 1 tables of b^l
+    masks, so the rebuild costs the sum of l * b^l mask operations.
     """
     if not s.paving.closed_under_finite_ops():
         raise ValueError("monotonize requires a union/intersection-closed paving")
     full = s.paving.full_mask
+    b = s.branching
+    get = s.nodes.get
     nodes = {}
     for length in range(1, s.depth + 1):
-        for bound in product(range(1, s.branching + 1), repeat=length):
-            acc = 0
-            for n in product(*(range(1, h + 1) for h in bound)):
-                cur = full
-                for k in range(1, length + 1):
-                    cur &= s.node(n[:k])
-                    if not cur:
-                        break
-                acc |= cur
-                if acc == full:
-                    break
-            if acc != full:
-                nodes[bound] = acc
+        # T over (prefix of length j, bound of length `length` - j), flat in
+        # product order; with j = length every entry is T(p, ()) = full
+        table = [full] * b**length
+        for j in range(length - 1, -1, -1):
+            size = b ** (length - j - 1)
+            out = []
+            children = product(range(1, b + 1), repeat=j + 1)
+            for q, mask in enumerate(map(get, children, repeat(full))):
+                if q % b == 0:
+                    acc = [0] * size
+                below = table[q * size : (q + 1) * size]
+                acc = [a | (mask & x) for a, x in zip(acc, below)]
+                out += acc
+            table = out
+        _store_level(nodes, length, b, table, full)
     return SouslinScheme(s.paving, s.depth, s.branching, nodes)
 
 
@@ -383,19 +468,39 @@ def check_monotone(s: SouslinScheme) -> tuple[bool, bool]:
 
 def scheme_to_literal(s: SouslinScheme) -> dict:
     """JSON-ready literal: ground_set, paving, depth, branching, and nodes
-    keyed by dotted index strings."""
+    keyed by dotted index strings.  Nodes with equal masks share one
+    element list."""
     ground = [str(e) for e in s.paving.ground]
+    lists: dict[int, list] = {}
 
     def elems(mask):
-        return [e for i, e in enumerate(ground) if mask >> i & 1]
+        out = lists.get(mask)
+        if out is None:
+            out = lists[mask] = _elements(ground, mask)
+        return out
 
     return {
         "ground_set": ground,
         "paving": [elems(m) for m in s.paving.member_masks],
         "depth": s.depth,
         "branching": s.branching,
-        "nodes": {".".join(str(i) for i in idx): elems(mask) for idx, mask in sorted(s.nodes.items())},
+        "nodes": {".".join(map(str, idx)): elems(mask) for idx, mask in sorted(s.nodes.items())},
     }
+
+
+def _index_of(key, parts, entries: dict) -> tuple:
+    """Index of a dotted key split into ``parts``, learning each new entry
+    into ``entries``.  An entry must be written as ``str(int)`` writes it
+    (the form scheme_to_literal uses), so no two keys name one index."""
+    for part in parts:
+        try:
+            entry = int(part)
+        except ValueError:
+            entry = None
+        if entry is None or str(entry) != part:
+            raise ValueError(f"bad scheme index key {key!r}")
+        entries[part] = entry
+    return tuple(map(entries.__getitem__, parts))
 
 
 def scheme_from_literal(obj) -> SouslinScheme:
@@ -414,11 +519,21 @@ def scheme_from_literal(obj) -> SouslinScheme:
         raise ValueError("scheme depth and branching must be integers")
     paving = Paving.from_sets(ground, members)
     nodes = {}
+    # entry text -> entry and node value -> mask, each parsed once per literal
+    entries: dict[str, int] = {}
+    masks: dict[tuple, int] = {}
     for key, value in raw_nodes.items():
         parts = str(key).split(".")
         try:
-            index = tuple(int(p) for p in parts)
-        except ValueError as exc:
-            raise ValueError(f"bad scheme index key {key!r}") from exc
-        nodes[index] = paving.mask_of(value)
+            index = tuple(map(entries.__getitem__, parts))
+        except KeyError:
+            index = _index_of(key, parts, entries)
+        try:
+            elems = tuple(value)
+            mask = masks.get(elems)
+        except TypeError:  # not a collection, or an unhashable element
+            mask = paving.mask_of(value)  # raises, naming the bad value
+        if mask is None:
+            mask = masks[elems] = paving.mask_of(elems)
+        nodes[index] = mask
     return SouslinScheme(paving, depth, branching, nodes)

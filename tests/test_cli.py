@@ -312,6 +312,47 @@ def test_bool_scheme_depth_is_a_violation(capsys, tmp_path):
     assert json.loads(out)["violations"] == ["schemes.B: scheme depth and branching must be integers"]
 
 
+def set_node(key, value):
+    return lambda scheme: scheme["nodes"].__setitem__(key, value)
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        pytest.param(set_node("1", 5), "5 is not a collection of ground elements", id="node-value-5"),
+        pytest.param(lambda s: s["paving"].append(5), "5 is not a collection of ground elements", id="paving-member-5"),
+        pytest.param(set_node("1", [["a"]]), "element ['a'] is not in the ground set", id="node-value-nested-list"),
+        pytest.param(lambda s: s["ground_set"].append(["a"]), "ground set elements must be hashable", id="ground-element-list"),
+        pytest.param(set_node("1_0", ["a"]), "bad scheme index key '1_0'", id="key-underscore"),
+        pytest.param(set_node("\u0661", ["a"]), "bad scheme index key '\u0661'", id="key-arabic-indic-digit"),
+        pytest.param(set_node(" 1", ["a"]), "bad scheme index key ' 1'", id="key-leading-space"),
+        pytest.param(set_node("01", ["a"]), "bad scheme index key '01'", id="key-leading-zero-beside-1"),
+        pytest.param(set_node("0", ["a"]), "stored index (0,) violates the branching bound", id="key-0"),
+    ],
+)
+def test_malformed_scheme_literal_is_a_violation(capsys, tmp_path, mutate, message):
+    doc = json.loads(Path(FIX_B).read_text())
+    mutate(doc["schemes"]["A"])
+    code, out, err = run_cli(capsys, ["souslin", "eval", "--scheme", "A", write_document(tmp_path, doc)])
+    assert code == 3
+    assert out == ""
+    assert err == f"invariant violation: schemes.A: {message}\n"
+
+
+# Exit code and exact stdout of eval, union, intersect and monotonize on a
+# document built like the scheme-algebra benchmark's (bench/workloads.py's
+# lattice paving and scheme literals, seed string "scheme-algebra:fixture"),
+# recorded before the merges and monotonize read lookup tables.
+GOLDEN_SOUSLIN = json.loads((FIXTURES / "golden_souslin.json").read_text())
+
+
+@pytest.mark.parametrize("record", GOLDEN_SOUSLIN, ids=lambda r: " ".join(r["argv"][1:-1]))
+def test_souslin_reports_match_golden_bytes(capsys, record):
+    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
+    code, out, _ = run_cli(capsys, argv)
+    assert (code, out) == (record["exit"], record["stdout"])
+
+
 # Exit code and exact stdout of acceptance criterion 9's commands and of
 # validate on the bad_* fixtures; argv names documents by file name only.
 GOLDEN = json.loads((FIXTURES / "golden_cli.json").read_text())

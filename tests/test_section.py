@@ -500,6 +500,39 @@ def test_each_public_entry_checks_its_set_once(monkeypatch, strategy):
             assert len(calls) == 2
 
 
+@pytest.mark.parametrize("strategy", ["debut", "souslin"])
+def test_predictable_section_checks_its_set_once(monkeypatch, strategy):
+    import finsection.section as section_module
+
+    calls = []
+    checked = section_module.is_set_of_kind
+
+    def counting(S, X, kind):
+        calls.append((S, kind))
+        return checked(S, X, kind)
+
+    monkeypatch.setattr(section_module, "is_set_of_kind", counting)
+    X = fix_b()
+    P = StochasticSet(frozenset({("w1", 1), ("w2", 1), ("w3", 1), ("w4", 1), ("w1", 2), ("w2", 2)}))
+    predictable_section(P, X, Fraction(0), strategy)
+    assert calls == [(P, "predictable")]
+    calls.clear()
+    not_predictable = StochasticSet(frozenset({("w1", 1)}))
+    with pytest.raises(ValueError) as refused:
+        predictable_section(not_predictable, X, Fraction(0), strategy)
+    assert str(refused.value) == "predictable_section needs a predictable set"
+    assert calls == [(not_predictable, "predictable")]
+
+
+@pytest.mark.parametrize("strategy", ["debut", "souslin"])
+def test_predictable_section_names_a_cell_outside_the_space(strategy):
+    X = fix_b()
+    with pytest.raises(ValueError, match=r"cell \('w1', 3\) is outside the space"):
+        predictable_section(StochasticSet(frozenset({("w1", 3)})), X, Fraction(0), strategy)
+    with pytest.raises(ValueError, match=r"interval representation needs a predictable set"):
+        to_interval_representation(StochasticSet(frozenset({("w1", 1)})), X)
+
+
 # ------------------------------------------------------- accessible section
 
 def test_accessible_section_empty():

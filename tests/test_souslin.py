@@ -18,7 +18,7 @@ from finsection import (
     theta_inv,
 )
 
-from finsection.souslin import CumulativeNodes, scheme_from_literal
+from finsection.souslin import CumulativeNodes, scheme_from_literal, scheme_to_literal
 from gen import closure_under_ops, oracle_eval
 
 GROUND3 = ("1", "2", "3")
@@ -433,3 +433,189 @@ def test_scheme_value_must_come_from_paving():
 def test_empty_scheme_evaluates_to_nothing():
     paving = Paving.from_sets(GROUND3, [["1"]])
     assert eval_of(empty_scheme(paving)) == frozenset()
+
+
+# ------------------------------------------- lookup tables against the walks
+
+def dominated_box_monotonize(s):
+    """Node table of the monotone rebuild by walking, for every in-bounds
+    bound h, each index tuple dominated by h and intersecting along it."""
+    full = s.paving.full_mask
+    nodes = {}
+    for length in range(1, s.depth + 1):
+        for bound in product(range(1, s.branching + 1), repeat=length):
+            acc = 0
+            for n in product(*(range(1, h + 1) for h in bound)):
+                cur = full
+                for k in range(1, length + 1):
+                    cur &= s.node(n[:k])
+                acc |= cur
+            if acc != full:
+                nodes[bound] = acc
+    return nodes
+
+
+def closed_paving(rng, size):
+    ground = tuple(str(i) for i in range(size))
+    if rng.random() < 0.5:
+        return all_subsets_paving(ground)
+    seeds = [frozenset(rng.sample(ground, rng.randint(0, size))) for _ in range(rng.randint(1, 3))]
+    return Paving.from_sets(ground, closure_under_ops(ground, seeds))
+
+
+def test_monotonize_matches_dominated_box_walk():
+    rng = random.Random(5150)
+    kinds = set()
+    for trial in range(400):
+        paving = closed_paving(rng, rng.randint(1, 4))
+        s = random_scheme(rng, paving, max_depth=3, max_branching=3)
+        if trial % 4 == 1:
+            # saturating: the all-ones branch stays at the full set
+            nodes = {idx: m for idx, m in s.nodes.items() if set(idx) != {1}}
+            s = SouslinScheme(paving, s.depth, s.branching, nodes)
+        elif trial % 4 == 2:
+            # every stored entry sits at or below the old bound; the raised
+            # indices read the full set
+            s = s.with_branching(s.branching + 1)
+        elif trial % 4 == 3:
+            # a few stored nodes under a deeper bound
+            s = SouslinScheme(paving, s.depth + 1, s.branching, dict(list(s.nodes.items())[:3]))
+        out = monotonize(s)
+        assert (out.depth, out.branching) == (s.depth, s.branching)
+        assert out.nodes == dominated_box_monotonize(s)
+        assert eval_of(out) == oracle_eval_of(s)
+        kinds.add(eval_of(s) == frozenset(paving.ground))
+    assert kinds == {True, False}
+
+
+def explicit_union_nodes(schemes):
+    """merge_union's node table from its definition, one source.node read
+    per in-bounds index."""
+    count = len(schemes)
+    depth = max(s.depth for s in schemes)
+    branching = max(theta(s.branching, m) for m, s in enumerate(schemes, start=1))
+    full = schemes[0].paving.full_mask
+    nodes = {}
+    for length in range(1, depth + 1):
+        for index in product(range(1, branching + 1), repeat=length):
+            first, which = theta_inv(index[0])
+            mask = schemes[min(which, count) - 1].node((first,) + index[1:])
+            if mask != full:
+                nodes[index] = mask
+    return depth, branching, nodes
+
+
+def explicit_intersection_nodes(schemes):
+    """merge_intersection's node table from its definition."""
+    count = len(schemes)
+    branching = max(s.branching for s in schemes)
+    depth = max(theta(s.depth, m) for m, s in enumerate(schemes, start=1))
+    full = schemes[0].paving.full_mask
+    nodes = {}
+    for length in range(1, depth + 1):
+        level, which = theta_inv(length)
+        positions = [theta(j, which) for j in range(1, level + 1)]
+        for index in product(range(1, branching + 1), repeat=length):
+            mask = schemes[min(which, count) - 1].node(tuple(index[p - 1] for p in positions))
+            if mask != full:
+                nodes[index] = mask
+    return depth, branching, nodes
+
+
+def test_merge_tables_match_explicit_node_construction():
+    rng = random.Random(8086)
+    for trial in range(300):
+        paving = all_subsets_paving(tuple(str(i) for i in range(rng.randint(1, 4))))
+        count = 1 + trial % 3
+        schemes = [random_scheme(rng, paving, max_depth=3 - count // 3, max_branching=3) for _ in range(count)]
+        evals = [oracle_eval_of(s) for s in schemes]
+        union = merge_union(schemes)
+        assert (union.depth, union.branching, union.nodes) == explicit_union_nodes(schemes)
+        assert eval_of(union) == frozenset().union(*evals)
+        if count < 3:  # three inputs push the intersection's depth to theta(d, 3)
+            inter = merge_intersection(schemes)
+            assert (inter.depth, inter.branching, inter.nodes) == explicit_intersection_nodes(schemes)
+            assert eval_of(inter) == frozenset(paving.ground).intersection(*evals)
+
+
+def test_merge_of_cumulative_nodes_matches_explicit_construction():
+    paving = all_subsets_paving(GROUND3)
+    masks = [paving.mask_of(["1"]), paving.mask_of(["1", "2"])]
+    computed = SouslinScheme(paving, 2, 3, CumulativeNodes(masks))
+    stored = make_scheme(paving, 2, 2, {(2,): ["3"], (1, 2): ["2", "3"]})
+    for schemes in ([computed, stored], [stored, computed]):
+        assert merge_union(schemes).nodes == explicit_union_nodes(schemes)[2]
+        assert merge_intersection(schemes).nodes == explicit_intersection_nodes(schemes)[2]
+
+
+# ------------------------------------------------------------ literals
+
+def test_literal_round_trip_keeps_every_node():
+    rng = random.Random(77)
+    paving = all_subsets_paving(("a", "b", "c"))
+    for _ in range(50):
+        s = random_scheme(rng, paving, max_depth=3, max_branching=12)
+        literal = scheme_to_literal(s)
+        back = scheme_from_literal(literal)
+        assert (back.depth, back.branching, back.nodes) == (s.depth, s.branching, s.nodes)
+        assert scheme_to_literal(back) == literal
+
+
+@pytest.mark.parametrize("key", ["1_0", "١", " 1", "1 ", "01", "+1", "-0", "1.", ".1", "1..2", "", "1.02"])
+def test_literal_key_must_be_the_canonical_rendering(key):
+    literal = {"ground_set": ["a"], "paving": [["a"]], "depth": 2, "branching": 12, "nodes": {key: ["a"]}}
+    with pytest.raises(ValueError, match="bad scheme index key"):
+        scheme_from_literal(literal)
+
+
+def test_literal_keys_naming_one_index_do_not_collide():
+    literal = {"ground_set": ["a"], "paving": [[], ["a"]], "depth": 1, "branching": 2, "nodes": {"1": [], "01": ["a"]}}
+    with pytest.raises(ValueError, match="bad scheme index key '01'"):
+        scheme_from_literal(literal)
+
+
+@pytest.mark.parametrize(
+    "key, message",
+    [("0", r"stored index \(0,\) violates the branching bound"), ("-1", r"stored index \(-1,\) violates the branching bound")],
+)
+def test_canonical_out_of_bounds_key_reaches_the_bound_check(key, message):
+    literal = {"ground_set": ["a"], "paving": [["a"]], "depth": 1, "branching": 1, "nodes": {key: ["a"]}}
+    with pytest.raises(ValueError, match=message):
+        scheme_from_literal(literal)
+
+
+def test_scheme_validation_names_the_first_bad_entry():
+    paving = Paving.from_sets(GROUND3, [["1"], ["1", "2"]])
+    one = paving.mask_of(["1"])
+    cases = [
+        ({(1,): one, (1, 1, 1): one, (3,): one}, r"stored index \(1, 1, 1\) violates the depth bound"),
+        ({(1,): one, (): one}, r"stored index \(\) violates the depth bound"),
+        ({(1,): one, (1, 0): one, (3,): one}, r"stored index \(1, 0\) violates the branching bound"),
+        ({(2, 3): one, (1,): 1 << 7}, r"stored index \(2, 3\) violates the branching bound"),
+        ({(1,): one, (2, 1): paving.mask_of(["2"])}, r"value at \(2, 1\) is not a paving member"),
+    ]
+    for nodes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            SouslinScheme(paving, 2, 2, nodes)
+    # the internal top and bottom values are admitted
+    SouslinScheme(paving, 2, 2, {(1,): 0, (2, 2): paving.full_mask})
+
+
+def test_paving_masks_read_one_element_table():
+    ground = ("x", 2, ("t", 1), "y")
+    paving = Paving.from_sets(ground, [["x", 2], [("t", 1)], ["x", "x"], [2, "x"]])
+    assert paving.member_masks == (0b0011, 0b0100, 0b0001)
+    for bits in range(1 << len(ground)):
+        elems = paving.set_of(bits)
+        assert elems == {e for i, e in enumerate(ground) if bits >> i & 1}
+        assert paving.mask_of(elems) == bits
+    with pytest.raises(ValueError, match="element 'z' is not in the ground set"):
+        paving.mask_of(["x", "z"])
+    with pytest.raises(ValueError, match=r"element \['x'\] is not in the ground set"):
+        paving.mask_of([["x"]])
+    with pytest.raises(ValueError, match="5 is not a collection of ground elements"):
+        paving.mask_of(5)
+    with pytest.raises(ValueError, match="ground set elements must be hashable"):
+        Paving.from_sets(["x", ["y"]], [["x"]])
+    with pytest.raises(ValueError, match="ground set elements must be distinct"):
+        Paving(("x", "x"), (1,))
