@@ -77,6 +77,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: argparse keeps no state between parse calls
+_PARSER = _build_parser()
+
+
 def _emit(obj, fmt: str):
     if fmt == "pretty":
         print(json.dumps(obj, sort_keys=True, indent=2))
@@ -169,17 +173,16 @@ def _souslin_report(args, doc) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     # the document path is an optional trailing positional for every
     # data-consuming subcommand; parse_known_args keeps it order-free
-    args, extra = parser.parse_known_args(argv)
+    args, extra = _PARSER.parse_known_args(argv)
     if args.command == "theta":
         if extra:
-            parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
         _emit(theta(args.k, args.m), args.format)
         return EXIT_OK
     if len(extra) > 1 or (extra and extra[0].startswith("-")):
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     document_path = extra[0] if extra else None
 
     try:

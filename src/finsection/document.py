@@ -11,8 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid
-from .measure import SampleSpace, SigmaAlgebra, parse_rational, refines
+from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults
+from .measure import SampleSpace, SigmaAlgebra, parse_rational
 from .souslin import SouslinScheme, scheme_from_literal
 
 __all__ = [
@@ -83,24 +83,6 @@ def time_to_literal(tau: RandomTime) -> dict:
     return {atom: ("inf" if v == INF else int(v)) for atom, v in tau.values.items()}
 
 
-def _filtration_violations(space: SampleSpace, sigmas) -> list[str]:
-    """One line per partition that misses the atom set or, when all cover
-    it, per step that fails to refine the one before."""
-    universe = frozenset(space.atoms)
-    lines = [
-        f"filtration[{k}] does not partition the atom set"
-        for k, sigma in enumerate(sigmas)
-        if sigma.universe != universe
-    ]
-    if lines:
-        return lines
-    return [
-        f"filtration[{k}] does not refine filtration[{k - 1}]"
-        for k in range(1, len(sigmas))
-        if not refines(sigmas[k], sigmas[k - 1])
-    ]
-
-
 def _set_literal_slices(name, literal) -> dict:
     """Group a set literal's [atom, index] pairs by index; a malformed
     literal raises DocumentParseError."""
@@ -169,7 +151,7 @@ def build_document(obj: dict):
                 X = FilteredSpace(space, grid, tuple(sigmas))
             except ValueError:
                 # the space stops at its first fault; list every one
-                violations.extend(_filtration_violations(space, sigmas))
+                violations.extend(_filtration_faults(frozenset(space.atoms), sigmas))
 
     known_atoms = frozenset(space.atoms) if space is not None else None
     sets: dict[str, StochasticSet] = {}

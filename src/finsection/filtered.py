@@ -73,12 +73,9 @@ class FilteredSpace:
             raise ValueError("need exactly one sigma-algebra per grid point")
         universe = frozenset(self.space.atoms)
         object.__setattr__(self, "_atom_set", universe)
-        for k, sigma in enumerate(self.filtration):
-            if sigma.universe != universe:
-                raise ValueError(f"filtration[{k}] does not partition the atom set")
-        for k in range(1, len(self.filtration)):
-            if not refines(self.filtration[k], self.filtration[k - 1]):
-                raise ValueError(f"filtration[{k}] does not refine filtration[{k - 1}]")
+        faults = _filtration_faults(universe, self.filtration)
+        if faults:
+            raise ValueError(faults[0])
 
     @property
     def atoms(self) -> tuple[str, ...]:
@@ -98,6 +95,14 @@ class FilteredSpace:
     def lookback(self, k: int) -> SigmaAlgebra:
         """The sigma-algebra one step before index k (itself at k = 0)."""
         return self.filtration[max(k - 1, 0)]
+
+
+def _filtration_faults(universe: frozenset, sigmas) -> list[str]:
+    """One line per partition that misses the atom set or, when all cover
+    it, per step that fails to refine the one before."""
+    lines = [f"filtration[{k}] does not partition the atom set" for k, s in enumerate(sigmas) if s.universe != universe]
+    steps = enumerate(zip(sigmas, sigmas[1:]), start=1)
+    return lines or [f"filtration[{k}] does not refine filtration[{k - 1}]" for k, (a, b) in steps if not refines(b, a)]
 
 
 @dataclass(frozen=True)

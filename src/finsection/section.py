@@ -2,18 +2,21 @@
 
 Two routes produce a section time for a predictable set: the direct debut
 (exact on finite models, used as the oracle) and the scheme route, which
-rebuilds the set as a monotone Souslin scheme over interval-realized
-values, sweeps envelope prefixes greedily until their projected outer
-measure clears the epsilon threshold, and returns the debut of the chosen
-branch intersection.  Optional and accessible sections reduce to the
+rebuilds the set as a monotone Souslin scheme over slice-major cell masks,
+picks each index coordinate as the least branch whose envelope's projected
+outer measure clears the epsilon threshold, and returns the debut of the
+chosen branch intersection.  Optional and accessible sections reduce to the
 predictable case through the largest-predictable-subset decomposition,
 splitting the epsilon budget evenly between the two halves.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate, compress
 
 from .filtered import (
     FilteredSpace,
@@ -22,7 +25,6 @@ from .filtered import (
     combine_min,
     constant_time,
     debut,
-    graph,
     infinite_time,
     interval,
     is_set_of_kind,
@@ -115,7 +117,7 @@ def _normalize_strategy(strategy: str) -> str:
 
 
 class _NotPredictable(ValueError):
-    """A set refused by to_interval_representation for its kind."""
+    """A set refused by the scheme route for its kind."""
 
 
 def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> IntervalUnion:
@@ -128,8 +130,7 @@ def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> Interv
         raise _NotPredictable("interval representation needs a predictable set")
     pairs = []
     realized = StochasticSet.empty()
-    for k in sorted(P_set.slices):
-        slice_k = P_set.slices[k]
+    for k, slice_k in sorted(P_set.slices.items()):
         left = restrict(constant_time(X.atoms, k), slice_k)
         right = constant_time(X.atoms, k)
         pairs.append((left, right))
@@ -138,7 +139,8 @@ def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> Interv
 
 
 def _cell_ground(X: FilteredSpace) -> tuple:
-    return tuple((atom, k) for atom in X.atoms for k in range(X.n_times))
+    """The cells of the space, slice-major: (atoms[i], k) sits at k*n + i."""
+    return tuple((atom, k) for k in range(X.n_times) for atom in X.atoms)
 
 
 def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinScheme:
@@ -150,65 +152,65 @@ def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinSche
     stays an interval-realizable predictable set.  The nodes are computed
     from the r cumulative masks, not stored.
     """
-    pairs = to_interval_representation(P_set, X).pairs
-    ground = _cell_ground(X)
-    if not pairs:
-        return empty_scheme(Paving(ground, (0,)))
-    cumulative = []
-    acc = frozenset()
-    for left, _ in pairs:
-        acc |= graph(left).cells
-        cumulative.append(acc)
-    paving = Paving.from_sets(ground, [frozenset()] + cumulative)
-    r = len(pairs)
-    return SouslinScheme(paving, r, r, CumulativeNodes(paving.mask_of(c) for c in cumulative))
+    if not is_set_of_kind(P_set, X, "predictable"):
+        raise _NotPredictable("interval representation needs a predictable set")
+    n = len(X.atoms)
+    bit = {atom: 1 << i for i, atom in enumerate(X.atoms)}
+    # slice k's atom mask goes to chunk k; disjoint chunks make sums unions
+    cumulative = list(accumulate(sum(map(bit.__getitem__, P_set.slices[k])) << k * n for k in sorted(P_set.slices)))
+    paving = Paving(_cell_ground(X), (0, *cumulative))
+    r = len(cumulative)
+    return SouslinScheme(paving, r, r, CumulativeNodes(cumulative)) if r else empty_scheme(paving)
 
 
-def _mask_to_set(paving: Paving, mask: int) -> StochasticSet:
-    return StochasticSet(paving.set_of(mask))
+def _mask_to_set(X: FilteredSpace, mask: int) -> StochasticSet:
+    """The set of a slice-major cell mask, read one n-bit chunk per slice."""
+    n = len(X.atoms)
+    rows = (bin(mask >> k * n & (1 << n) - 1)[:1:-1] for k in range(X.n_times))
+    return StochasticSet.from_slices({k: compress(X.atoms, map("1".__eq__, row)) for k, row in enumerate(rows)})
 
 
 def _souslin_sweep(scheme: SouslinScheme, X: FilteredSpace, eps: Fraction, target_outer: Fraction):
-    """Greedy envelope selection.
+    """Least-branch envelope selection.
 
     For a monotone scheme the envelope of an index prefix is the node at
-    the prefix padded with the branching bound, so each sweep step is one
-    node lookup; each coordinate is raised until the envelope's projected
-    outer measure clears target - eps, which the full bound always does.
+    the prefix padded with the branching bound, and it grows with each
+    coordinate, so each coordinate is the least candidate whose envelope's
+    projected outer measure clears target - eps, found by bisection.  The
+    bound clears, as its envelope is the last accepted one (at first, the
+    target); each distinct mask is weighed once.
     """
     depth, branching = scheme.depth, scheme.branching
-    threshold = target_outer - eps
+
+    @cache
+    def weigh(mask: int) -> Fraction:
+        return _outer(X, projection(_mask_to_set(X, mask)))
+
     prefix: list[int] = []
     measures: list[Fraction] = []
-    for _ in range(depth):
-        accepted = None
-        for cand in range(1, branching + 1):
-            corner = tuple(prefix) + (cand,) + (branching,) * (depth - len(prefix) - 1)
-            envelope = _mask_to_set(scheme.paving, scheme.node(corner))
-            measure = _outer(X, projection(envelope))
-            if measure >= threshold:
-                accepted = (cand, measure)
-                break
-        if accepted is None:
-            raise RuntimeError("envelope sweep failed to stabilize at the branching bound")
-        prefix.append(accepted[0])
-        measures.append(accepted[1])
-    chosen = _mask_to_set(scheme.paving, scheme.node(tuple(prefix)))
+    for pos in range(depth):
+        pad = (branching,) * (depth - pos - 1)
+        prefix.append(1 + bisect_left(
+            range(1, branching), True, key=lambda c: weigh(scheme.node((*prefix, c, *pad))) >= target_outer - eps
+        ))
+        measures.append(weigh(scheme.node((*prefix, *pad))))
+    chosen = _mask_to_set(X, scheme.node(tuple(prefix)))
     return tuple(prefix), tuple(measures), chosen
 
 
 def section_from_scheme(scheme: SouslinScheme, X: FilteredSpace, eps) -> SectionResult:
     """Run the scheme route on a caller-supplied monotone scheme whose node
-    values are predictable sets over the cells of the space."""
+    values are predictable sets over the cells of the space, listed
+    slice-major in its ground: (atoms[i], k) at position k*n + i."""
     eps = _check_epsilon(eps)
-    if set(scheme.paving.ground) != set(_cell_ground(X)):
+    if scheme.paving.ground != _cell_ground(X):
         raise ValueError("scheme ground set must be the atoms x grid cells of the space")
     if check_monotone(scheme) != (True, True):
         raise ValueError("section_from_scheme needs a monotone scheme")
     for mask in set(scheme.nodes.values()) | {scheme.paving.full_mask}:
-        if not is_set_of_kind(_mask_to_set(scheme.paving, mask), X, "predictable"):
+        if not is_set_of_kind(_mask_to_set(X, mask), X, "predictable"):
             raise ValueError("scheme values must be predictable sets")
-    target = _mask_to_set(scheme.paving, scheme.node((scheme.branching,) * scheme.depth))
+    target = _mask_to_set(X, scheme.node((scheme.branching,) * scheme.depth))
     return _souslin_section(scheme, X, eps, target)
 
 
@@ -238,7 +240,7 @@ def predictable_section(P_set: StochasticSet, X: FilteredSpace, eps, strategy=ST
         time = debut(P_set, X)
         deficit = _outer(X, projection(P_set)) - X.space.prob(time.finite_support())
         return SectionResult(time, deficit, STRATEGY_DEBUT, SectionTrace((), (), deficit))
-    # the scheme's interval representation checks the kind
+    # the scheme build checks the kind
     try:
         scheme = build_monotone_scheme(P_set, X)
     except _NotPredictable as exc:
@@ -253,8 +255,7 @@ def measurable_section(S: StochasticSet, space, grid) -> SectionResult:
     debut route applies with eps = 0 and recovers the projection as the
     exact finiteness set of the returned time.
     """
-    fine = discrete_sigma(space.atoms)
-    X = FilteredSpace(space, grid, tuple(fine for _ in range(len(grid))))
+    X = FilteredSpace(space, grid, (discrete_sigma(space.atoms),) * len(grid))
     return predictable_section(S, X, Fraction(0), STRATEGY_DEBUT)
 
 
@@ -276,8 +277,7 @@ def _decompose(O: StochasticSet, X: FilteredSpace) -> OptionalDecomposition:
     """decompose_optional on a set already known to be optional."""
     predictable = {}
     thin = []
-    for k in sorted(O.slices):
-        slice_k = O.slices[k]
+    for k, slice_k in sorted(O.slices.items()):
         lookback = X.lookback(k)
         meeting = {lookback.block_of(a) for a in slice_k}
         inside = frozenset().union(*(block for block in meeting if block <= slice_k))

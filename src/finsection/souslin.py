@@ -503,21 +503,30 @@ def _index_of(key, parts, entries: dict) -> tuple:
     return tuple(map(entries.__getitem__, parts))
 
 
+def _array(value) -> list:
+    """A JSON array of ground elements; any other value is refused."""
+    if not isinstance(value, list):
+        raise ValueError(f"{value!r} is not a collection of ground elements")
+    return value
+
+
 def scheme_from_literal(obj) -> SouslinScheme:
     """Parse the scheme literal format; raises ValueError on malformed input."""
     if not isinstance(obj, dict):
         raise ValueError("scheme literal must be an object")
     try:
-        ground = list(obj["ground_set"])
-        members = list(obj["paving"])
+        ground = _array(obj["ground_set"])
+        members = obj["paving"]
         depth = obj["depth"]
         branching = obj["branching"]
-        raw_nodes = dict(obj["nodes"])
-    except (KeyError, TypeError) as exc:
+        raw_nodes = obj["nodes"]
+    except KeyError as exc:
         raise ValueError(f"scheme literal missing or malformed field: {exc}") from exc
+    if not (isinstance(members, list) and isinstance(raw_nodes, dict)):
+        raise ValueError("scheme literal paving must be an array and its nodes an object")
     if any(not isinstance(v, int) or isinstance(v, bool) for v in (depth, branching)):
         raise ValueError("scheme depth and branching must be integers")
-    paving = Paving.from_sets(ground, members)
+    paving = Paving.from_sets(ground, map(_array, members))
     nodes = {}
     # entry text -> entry and node value -> mask, each parsed once per literal
     entries: dict[str, int] = {}
@@ -529,10 +538,10 @@ def scheme_from_literal(obj) -> SouslinScheme:
         except KeyError:
             index = _index_of(key, parts, entries)
         try:
-            elems = tuple(value)
+            elems = tuple(_array(value))
             mask = masks.get(elems)
-        except TypeError:  # not a collection, or an unhashable element
-            mask = paving.mask_of(value)  # raises, naming the bad value
+        except TypeError:  # an unhashable element
+            mask = paving.mask_of(value)  # raises, naming it
         if mask is None:
             mask = masks[elems] = paving.mask_of(elems)
         nodes[index] = mask

@@ -75,6 +75,50 @@ def test_validate_collects_weight_and_bound_violations(capsys):
     assert any("outside the grid" in line for line in report["violations"])
 
 
+def test_main_called_again_after_an_argv_error_gives_a_lone_calls_bytes(capsys):
+    argv = ["section", "--kind", "predictable", "--set", "P", "--epsilon", "1/8", FIX_B]
+    lone = subprocess.run([sys.executable, "-m", "finsection", *argv], capture_output=True, text=True)
+    assert lone.returncode == 0
+    # non-default options, then a stray argument that main refuses after parsing
+    with pytest.raises(SystemExit) as refused:
+        main(["--format", "pretty", "section", "--kind", "optional", "--set", "O", "--strategy", "debut", FIX_B, "stray"])
+    assert refused.value.code == 2
+    capsys.readouterr()
+    assert run_cli(capsys, argv)[:2] == (0, lone.stdout)
+
+
+@pytest.mark.parametrize(
+    "mutate, line",
+    [
+        pytest.param(
+            lambda d: d["filtration"][1][1].remove("w4"), "filtration[1] does not partition the atom set", id="missing-atom"
+        ),
+        pytest.param(
+            lambda d: d["filtration"].pop(), "filtration: need exactly one partition per grid point", id="one-partition-short"
+        ),
+        pytest.param(
+            lambda d: d["filtration"][0].append(["w1"]),
+            "filtration[0]: partition blocks must be pairwise disjoint",
+            id="overlapping-blocks",
+        ),
+        pytest.param(
+            lambda d: d["times"]["tau"].__setitem__("w1", "x"),
+            "times.tau: time value for 'w1' must be a grid index or \"inf\"",
+            id="time-value-text",
+        ),
+        pytest.param(
+            lambda d: d["times"]["tau"].__setitem__("w1", 3), "times.tau: value outside the grid", id="time-past-grid"
+        ),
+    ],
+)
+def test_validate_names_each_filtration_and_time_fault(capsys, tmp_path, mutate, line):
+    doc = json.loads(Path(FIX_B).read_text())
+    mutate(doc)
+    code, out, _ = run_cli(capsys, ["validate", write_document(tmp_path, doc)])
+    assert code == 3
+    assert json.loads(out)["violations"] == [line]
+
+
 def test_parse_failure_exit_code(capsys):
     code, _, err = run_cli(capsys, ["validate", str(FIXTURES / "bad_parse.json")])
     assert code == 2
@@ -328,6 +372,18 @@ def set_node(key, value):
         pytest.param(set_node(" 1", ["a"]), "bad scheme index key ' 1'", id="key-leading-space"),
         pytest.param(set_node("01", ["a"]), "bad scheme index key '01'", id="key-leading-zero-beside-1"),
         pytest.param(set_node("0", ["a"]), "stored index (0,) violates the branching bound", id="key-0"),
+        pytest.param(set_node("1", "ab"), "'ab' is not a collection of ground elements", id="node-value-string"),
+        pytest.param(
+            lambda s: s["paving"].append({"c": 0}), "{'c': 0} is not a collection of ground elements", id="paving-member-object"
+        ),
+        pytest.param(
+            lambda s: s.__setitem__("ground_set", "abc"), "'abc' is not a collection of ground elements", id="ground-set-string"
+        ),
+        pytest.param(
+            lambda s: s.__setitem__("nodes", [["1", ["a"]]]),
+            "scheme literal paving must be an array and its nodes an object",
+            id="nodes-array-of-pairs",
+        ),
     ],
 )
 def test_malformed_scheme_literal_is_a_violation(capsys, tmp_path, mutate, message):

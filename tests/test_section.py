@@ -35,6 +35,7 @@ from finsection import (
     to_interval_representation,
     TimeGrid,
     discrete_sigma,
+    trivial_sigma,
     STRATEGY_DEBUT,
     STRATEGY_SOUSLIN,
 )
@@ -143,8 +144,8 @@ def test_scheme_eval_matches_bruteforce_on_random_sets():
 def explicit_cumulative_literal(P, X):
     """Literal of the table {idx: cum[min(idx) - 1]} over every index with
     length and entries in 1..r, where cum[i] is the union of the first i + 1
-    nonempty slices of P."""
-    ground = [(a, k) for a in X.atoms for k in range(X.n_times)]
+    nonempty slices of P, over the slice-major cell ground."""
+    ground = [(a, k) for k in range(X.n_times) for a in X.atoms]
     cum = []
     acc = set()
     for k in range(X.n_times):
@@ -186,13 +187,24 @@ def test_section_from_scheme_checks_every_computed_value():
     # a monotone cumulative scheme whose first mask, w1 at index 1, is not
     # predictable under the trivial partition at index 0
     X = fix_b()
-    ground = tuple((a, k) for a in X.atoms for k in range(X.n_times))
+    ground = tuple((a, k) for k in range(X.n_times) for a in X.atoms)
     first = frozenset({("w1", 1)})
     second = first | {("w1", 2)}
     paving = Paving.from_sets(ground, [frozenset(), first, second])
     scheme = SouslinScheme(paving, 2, 2, CumulativeNodes([paving.mask_of(first), paving.mask_of(second)]))
     assert check_monotone(scheme) == (True, True)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="predictable"):
+        section_from_scheme(scheme, X, Fraction(0))
+
+
+def test_section_from_scheme_refuses_a_permuted_cell_ground():
+    # the same cells listed atom-major: every cell is there, in the wrong order
+    X = fix_b()
+    ground = tuple((a, k) for a in X.atoms for k in range(X.n_times))
+    cells = frozenset({("w1", 2), ("w2", 2)})
+    paving = Paving.from_sets(ground, [frozenset(), cells])
+    scheme = SouslinScheme(paving, 1, 1, {(1,): paving.mask_of(cells)})
+    with pytest.raises(ValueError, match="scheme ground set must be the atoms x grid cells of the space"):
         section_from_scheme(scheme, X, Fraction(0))
 
 
@@ -221,6 +233,32 @@ def test_souslin_route_on_a_grid_of_64_points_within_budget():
             assert X.space.prob(res.time.finite_support()) == X.space.prob(exact.time.finite_support())
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"souslin route at grid 64 took {elapsed:.2f}s (budget 5s)"
+
+
+def test_souslin_route_on_64_atoms_and_256_points_within_budget():
+    # trivial partition at 0, discrete after; about 0.05 of the cells at
+    # indices 2..255, so some 250 slices are active
+    atoms = tuple(f"w{i}" for i in range(64))
+    X = FilteredSpace(
+        SampleSpace.uniform(atoms),
+        TimeGrid(tuple(Fraction(k) for k in range(256))),
+        (trivial_sigma(atoms),) + (discrete_sigma(atoms),) * 255,
+    )
+    rng = random.Random(1)
+    P = StochasticSet(frozenset((a, k) for k in range(2, 256) for a in atoms if rng.random() < 0.05))
+    assert is_set_of_kind(P, X, "predictable")
+    t0 = time.perf_counter()
+    exact = predictable_section(P, X, Fraction(0), STRATEGY_DEBUT)
+    for eps in (Fraction(0), Fraction(1, 8)):
+        res = predictable_section(P, X, eps, STRATEGY_SOUSLIN)
+        assert is_predictable_time(res.time, X)
+        assert graph(res.time) <= P
+        assert 0 <= res.deficit <= eps
+        assert res.deficit == weight_deficit(X, P, res.time)
+        if eps == 0:
+            assert X.space.prob(res.time.finite_support()) == X.space.prob(exact.time.finite_support())
+    elapsed = time.perf_counter() - t0
+    assert elapsed < 5.0, f"souslin route at 64 atoms x 256 points took {elapsed:.2f}s (budget 5s)"
 
 
 # ------------------------------------------------------ predictable section
@@ -309,7 +347,7 @@ def test_envelopes_grow_in_each_coordinate_and_stabilize():
 
 def test_section_from_user_supplied_scheme():
     X = fix_b()
-    ground = tuple((a, k) for a in X.atoms for k in range(X.n_times))
+    ground = tuple((a, k) for k in range(X.n_times) for a in X.atoms)
     inner = frozenset({("w1", 2), ("w2", 2)})
     outer_set = inner | frozenset((a, 1) for a in X.atoms)
     paving = Paving.from_sets(ground, [frozenset(), inner, outer_set])
