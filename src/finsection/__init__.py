@@ -1,122 +1,12 @@
 """Souslin schemes, outer measures, stopping-time calculus, and section
-solvers, all exact on finite filtered probability spaces."""
+solvers, all exact on finite filtered probability spaces.
 
-from .souslin import (
-    Paving,
-    SouslinScheme,
-    theta,
-    theta_inv,
-    empty_scheme,
-    eval_scheme,
-    merge_union,
-    merge_intersection,
-    monotonize,
-    check_monotone,
-)
-from .measure import (
-    SampleSpace,
-    SigmaAlgebra,
-    trivial_sigma,
-    discrete_sigma,
-    generate_sigma,
-    refines,
-    is_measurable,
-    measurable_cover,
-    outer_measure,
-    parse_rational,
-    format_rational,
-)
-from .filtered import (
-    INF,
-    TimeGrid,
-    FilteredSpace,
-    RandomTime,
-    StochasticSet,
-    constant_time,
-    infinite_time,
-    is_stopping_time,
-    is_predictable_time,
-    debut,
-    graph,
-    interval,
-    restrict,
-    combine_min,
-    combine_sup,
-    shift,
-    is_set_of_kind,
-    classify_time,
-)
-from .section import (
-    STRATEGY_DEBUT,
-    STRATEGY_SOUSLIN,
-    IntervalUnion,
-    SectionTrace,
-    SectionResult,
-    OptionalDecomposition,
-    projection,
-    to_interval_representation,
-    build_monotone_scheme,
-    section_from_scheme,
-    predictable_section,
-    measurable_section,
-    decompose_optional,
-    optional_section,
-    accessible_section,
-)
+The package exports exactly the public names of its four layer modules."""
 
-__all__ = [
-    "Paving",
-    "SouslinScheme",
-    "theta",
-    "theta_inv",
-    "empty_scheme",
-    "eval_scheme",
-    "merge_union",
-    "merge_intersection",
-    "monotonize",
-    "check_monotone",
-    "SampleSpace",
-    "SigmaAlgebra",
-    "trivial_sigma",
-    "discrete_sigma",
-    "generate_sigma",
-    "refines",
-    "is_measurable",
-    "measurable_cover",
-    "outer_measure",
-    "parse_rational",
-    "format_rational",
-    "INF",
-    "TimeGrid",
-    "FilteredSpace",
-    "RandomTime",
-    "StochasticSet",
-    "constant_time",
-    "infinite_time",
-    "is_stopping_time",
-    "is_predictable_time",
-    "debut",
-    "graph",
-    "interval",
-    "restrict",
-    "combine_min",
-    "combine_sup",
-    "shift",
-    "is_set_of_kind",
-    "classify_time",
-    "STRATEGY_DEBUT",
-    "STRATEGY_SOUSLIN",
-    "IntervalUnion",
-    "SectionTrace",
-    "SectionResult",
-    "OptionalDecomposition",
-    "projection",
-    "to_interval_representation",
-    "build_monotone_scheme",
-    "section_from_scheme",
-    "predictable_section",
-    "measurable_section",
-    "decompose_optional",
-    "optional_section",
-    "accessible_section",
-]
+from . import filtered, measure, section, souslin
+from .filtered import *
+from .measure import *
+from .section import *
+from .souslin import *
+
+__all__ = souslin.__all__ + measure.__all__ + filtered.__all__ + section.__all__

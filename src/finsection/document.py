@@ -134,7 +134,7 @@ def build_document(obj: dict):
     filt_list = _require(obj, "filtration", list, "document")
     sigmas = []
     for k, part in enumerate(filt_list):
-        if not isinstance(part, list) or not all(isinstance(b, list) for b in part):
+        if not isinstance(part, list) or not all(isinstance(b, list) and all(isinstance(a, str) for a in b) for b in part):
             raise DocumentParseError(f"filtration[{k}] must be an array of atom arrays")
         try:
             sigmas.append(SigmaAlgebra(tuple(frozenset(b) for b in part)))

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .measure import SampleSpace, SigmaAlgebra, is_measurable, refines
@@ -143,12 +142,14 @@ def infinite_time(atoms) -> RandomTime:
     return RandomTime({a: INF for a in atoms})
 
 
+@dataclass(frozen=True, init=False)
 class StochasticSet:
-    """Subset of atoms x grid indices, stored as one atom frozenset per
-    nonempty slice.  ``cells`` is a derived view of (atom, index) pairs;
-    sets with the same cells compare and hash equal."""
+    """Subset of atoms x grid indices, stored slice by slice: ``slices`` is
+    the tuple of (index, atoms) pairs sorted by index, one nonempty atom
+    frozenset per index.  ``cells`` is a derived view of (atom, index)
+    pairs; sets with the same cells compare and hash equal."""
 
-    __slots__ = ("slices",)
+    slices: tuple
 
     def __init__(self, cells=frozenset()):
         slices: dict = {}
@@ -164,8 +165,8 @@ class StochasticSet:
         return out
 
     def _store(self, slices):
-        frozen = ((k, frozenset(atoms)) for k, atoms in slices.items())
-        object.__setattr__(self, "slices", MappingProxyType({k: atoms for k, atoms in frozen if atoms}))
+        frozen = {k: frozenset(atoms) for k, atoms in slices.items()}
+        object.__setattr__(self, "slices", tuple(sorted((k, atoms) for k, atoms in frozen.items() if atoms)))
 
     @classmethod
     def empty(cls) -> "StochasticSet":
@@ -178,44 +179,28 @@ class StochasticSet:
 
     @property
     def cells(self) -> frozenset:
-        return frozenset((a, k) for k, atoms in self.slices.items() for a in atoms)
+        return frozenset((a, k) for k, atoms in self.slices for a in atoms)
 
     def slice_at(self, k: int) -> frozenset:
-        return self.slices.get(k, frozenset())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StochasticSet is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, StochasticSet):
-            return NotImplemented
-        return self.slices == other.slices
-
-    def __hash__(self):
-        return hash(frozenset(self.slices.items()))
-
-    def __repr__(self):
-        return f"StochasticSet.from_slices({dict(sorted(self.slices.items()))!r})"
+        return dict(self.slices).get(k, frozenset())
 
     def __or__(self, other):
         out = dict(self.slices)
-        for k, atoms in other.slices.items():
+        for k, atoms in other.slices:
             out[k] = out[k] | atoms if k in out else atoms
         return StochasticSet.from_slices(out)
 
     def __and__(self, other):
-        theirs = other.slices
-        return StochasticSet.from_slices({k: atoms & theirs[k] for k, atoms in self.slices.items() if k in theirs})
+        theirs = dict(other.slices)
+        return StochasticSet.from_slices({k: atoms & theirs[k] for k, atoms in self.slices if k in theirs})
 
     def __sub__(self, other):
-        theirs = other.slices
-        return StochasticSet.from_slices(
-            {k: atoms - theirs[k] if k in theirs else atoms for k, atoms in self.slices.items()}
-        )
+        theirs = dict(other.slices)
+        return StochasticSet.from_slices({k: atoms - theirs[k] if k in theirs else atoms for k, atoms in self.slices})
 
     def __le__(self, other):
-        theirs = other.slices
-        return all(k in theirs and atoms <= theirs[k] for k, atoms in self.slices.items())
+        theirs = dict(other.slices)
+        return all(k in theirs and atoms <= theirs[k] for k, atoms in self.slices)
 
     def __bool__(self):
         return bool(self.slices)
@@ -255,8 +240,7 @@ def debut(S: StochasticSet, X: FilteredSpace) -> RandomTime:
     firsts: dict = dict.fromkeys(X.atoms, INF)
     n = X.n_times
     entered: set = set()
-    for k in sorted(S.slices):
-        atoms = S.slices[k]
+    for k, atoms in S.slices:
         if not atoms <= X.atom_set:
             raise ValueError(f"cell atom {next(iter(atoms - X.atom_set))!r} is not in the space")
         if k < 0 or k >= n:
@@ -307,24 +291,22 @@ def restrict(tau: RandomTime, subset) -> RandomTime:
     return RandomTime({a: (v if a in subset else INF) for a, v in tau.values.items()})
 
 
-def combine_min(times) -> RandomTime:
+def _combine(times, pick, name: str) -> RandomTime:
     times = list(times)
     if not times:
-        raise ValueError("combine_min needs at least one time")
+        raise ValueError(f"{name} needs at least one time")
     atoms = times[0].values.keys()
     if any(t.values.keys() != atoms for t in times):
         raise ValueError("combined times must share the atom set")
-    return RandomTime({a: min(t.values[a] for t in times) for a in atoms})
+    return RandomTime({a: pick(t.values[a] for t in times) for a in atoms})
+
+
+def combine_min(times) -> RandomTime:
+    return _combine(times, min, "combine_min")
 
 
 def combine_sup(times) -> RandomTime:
-    times = list(times)
-    if not times:
-        raise ValueError("combine_sup needs at least one time")
-    atoms = times[0].values.keys()
-    if any(t.values.keys() != atoms for t in times):
-        raise ValueError("combined times must share the atom set")
-    return RandomTime({a: max(t.values[a] for t in times) for a in atoms})
+    return _combine(times, max, "combine_sup")
 
 
 def shift(tau: RandomTime, steps: int, X: FilteredSpace) -> RandomTime:
@@ -346,13 +328,13 @@ def is_set_of_kind(S: StochasticSet, X: FilteredSpace, kind: str) -> bool:
     if kind not in ("predictable", "optional"):
         raise ValueError(f"unknown stochastic set kind {kind!r}")
     n, universe = X.n_times, X.atom_set
-    for k, atoms in S.slices.items():
+    for k, atoms in S.slices:
         in_grid = 0 <= k < n
         if not (in_grid and atoms <= universe):
             outside = atoms - universe if in_grid else atoms
             raise ValueError(f"cell ({next(iter(outside))!r}, {k}) is outside the space")
     sigma_for = X.sigma_at if kind == "optional" else X.lookback
-    return all(is_measurable(atoms, sigma_for(k)) for k, atoms in S.slices.items())
+    return all(is_measurable(atoms, sigma_for(k)) for k, atoms in S.slices)
 
 
 def classify_time(tau: RandomTime, X: FilteredSpace) -> TimeClassification:

@@ -94,7 +94,7 @@ class OptionalDecomposition:
 
 def projection(S: StochasticSet) -> frozenset:
     """Atoms whose section of the set is nonempty."""
-    return frozenset().union(*S.slices.values())
+    return frozenset().union(*(atoms for _, atoms in S.slices))
 
 
 def _outer(X: FilteredSpace, subset) -> Fraction:
@@ -130,7 +130,7 @@ def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> Interv
         raise _NotPredictable("interval representation needs a predictable set")
     pairs = []
     realized = StochasticSet.empty()
-    for k, slice_k in sorted(P_set.slices.items()):
+    for k, slice_k in P_set.slices:
         left = restrict(constant_time(X.atoms, k), slice_k)
         right = constant_time(X.atoms, k)
         pairs.append((left, right))
@@ -157,7 +157,7 @@ def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinSche
     n = len(X.atoms)
     bit = {atom: 1 << i for i, atom in enumerate(X.atoms)}
     # slice k's atom mask goes to chunk k; disjoint chunks make sums unions
-    cumulative = list(accumulate(sum(map(bit.__getitem__, P_set.slices[k])) << k * n for k in sorted(P_set.slices)))
+    cumulative = list(accumulate(sum(map(bit.__getitem__, atoms)) << k * n for k, atoms in P_set.slices))
     paving = Paving(_cell_ground(X), (0, *cumulative))
     r = len(cumulative)
     return SouslinScheme(paving, r, r, CumulativeNodes(cumulative)) if r else empty_scheme(paving)
@@ -201,13 +201,15 @@ def _souslin_sweep(scheme: SouslinScheme, X: FilteredSpace, eps: Fraction, targe
 def section_from_scheme(scheme: SouslinScheme, X: FilteredSpace, eps) -> SectionResult:
     """Run the scheme route on a caller-supplied monotone scheme whose node
     values are predictable sets over the cells of the space, listed
-    slice-major in its ground: (atoms[i], k) at position k*n + i."""
+    slice-major in its ground: (atoms[i], k) at position k*n + i.  A
+    computed scheme is checked from its r masks, so any r is taken."""
     eps = _check_epsilon(eps)
     if scheme.paving.ground != _cell_ground(X):
         raise ValueError("scheme ground set must be the atoms x grid cells of the space")
     if check_monotone(scheme) != (True, True):
         raise ValueError("section_from_scheme needs a monotone scheme")
-    for mask in set(scheme.nodes.values()) | {scheme.paving.full_mask}:
+    values = scheme.nodes.masks if isinstance(scheme.nodes, CumulativeNodes) else scheme.nodes.values()
+    for mask in set(values) | {scheme.paving.full_mask}:
         if not is_set_of_kind(_mask_to_set(X, mask), X, "predictable"):
             raise ValueError("scheme values must be predictable sets")
     target = _mask_to_set(X, scheme.node((scheme.branching,) * scheme.depth))
@@ -277,7 +279,7 @@ def _decompose(O: StochasticSet, X: FilteredSpace) -> OptionalDecomposition:
     """decompose_optional on a set already known to be optional."""
     predictable = {}
     thin = []
-    for k, slice_k in sorted(O.slices.items()):
+    for k, slice_k in O.slices:
         lookback = X.lookback(k)
         meeting = {lookback.block_of(a) for a in slice_k}
         inside = frozenset().union(*(block for block in meeting if block <= slice_k))

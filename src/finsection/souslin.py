@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain, compress, product, repeat
+from itertools import accumulate, chain, compress, product, repeat
 from math import isqrt
+from operator import or_
 
 __all__ = [
     "Paving",
@@ -64,8 +65,8 @@ class Paving:
     """A finite, nonempty collection of subsets of a finite ground set.
 
     ``ground`` fixes the element order; members are bitmasks over it.  The
-    element -> bit table that :meth:`mask_of` reads, and the set of values a
-    scheme node may take, are built once, here.
+    element -> position table that :meth:`mask_of` reads, and the set of
+    values a scheme node may take, are built once, here.
     """
 
     ground: tuple
@@ -74,8 +75,8 @@ class Paving:
     def __post_init__(self):
         if not self.ground:
             raise ValueError("ground set must be nonempty")
-        bits = _bit_map(self.ground)
-        if len(bits) != len(self.ground):
+        positions = _positions(self.ground)
+        if len(positions) != len(self.ground):
             raise ValueError("ground set elements must be distinct")
         if not self.member_masks:
             raise ValueError("paving needs at least one member")
@@ -83,15 +84,15 @@ class Paving:
         for mask in self.member_masks:
             if mask < 0 or mask & ~full:
                 raise ValueError("paving member is not a subset of the ground set")
-        object.__setattr__(self, "_bits", bits)
+        object.__setattr__(self, "_positions", positions)
         # members plus the internal top (full) and bottom (empty) values
         object.__setattr__(self, "_node_values", frozenset(self.member_masks) | {0, full})
 
     @classmethod
     def from_sets(cls, ground, members) -> "Paving":
         ground = tuple(ground)
-        bits = _bit_map(ground)
-        masks = dict.fromkeys(_mask_with(bits, member) for member in members)
+        positions = _positions(ground)
+        masks = dict.fromkeys(_mask_with(positions, member) for member in members)
         return cls(ground, tuple(masks))
 
     @property
@@ -99,7 +100,7 @@ class Paving:
         return (1 << len(self.ground)) - 1
 
     def mask_of(self, elems) -> int:
-        return _mask_with(self._bits, elems)
+        return _mask_with(self._positions, elems)
 
     def set_of(self, mask: int) -> frozenset:
         return frozenset(_elements(self.ground, mask))
@@ -111,15 +112,16 @@ class Paving:
         return all(a | b in members and a & b in members for a in members for b in members)
 
 
-def _bit_map(ground) -> dict:
-    """Element -> bit of its position; a repeated element keeps its last."""
+def _positions(ground) -> dict:
+    """Element -> its position (not its bit, which for N elements would
+    hold about N^2/16 bytes); a repeated element keeps its last."""
     try:
-        return {e: 1 << i for i, e in enumerate(ground)}
+        return {e: i for i, e in enumerate(ground)}
     except TypeError:
         raise ValueError("ground set elements must be hashable") from None
 
 
-def _mask_with(bits, elems) -> int:
+def _mask_with(positions, elems) -> int:
     try:
         items = iter(elems)
     except TypeError:
@@ -127,7 +129,7 @@ def _mask_with(bits, elems) -> int:
     mask = 0
     for e in items:
         try:
-            mask |= bits[e]
+            mask |= 1 << positions[e]
         except (KeyError, TypeError):  # an unhashable element is not in the ground set either
             raise ValueError(f"element {e!r} is not in the ground set") from None
     return mask
@@ -448,8 +450,21 @@ def check_monotone(s: SouslinScheme) -> tuple[bool, bool]:
     needs a parent below the full set, and a horizontal one a raised index
     below the full set, and every in-bounds index off ``nodes`` reads as
     the full set.  So the walk covers ``nodes``, not the whole index space.
+
+    A :class:`CumulativeNodes` scheme is decided from its r masks: its node
+    at a key is C_min(key), so horizontal holds iff C_(m-1) is in C_m for
+    each C_m below full; a key with minimum m has children C_j, j < m, and
+    full ones when depth exceeds r or, with depth above 1, branching does.
     """
     full = s.paving.full_mask
+    if isinstance(s.nodes, CumulativeNodes):
+        r = len(masks := s.nodes.masks)
+        # (C_m, C_(m-1), C_1 | ... | C_(m-1)) for each C_m below full, C_0 empty
+        below = [t for t in zip(masks, (0,) + masks, accumulate((0,) + masks, or_)) if t[0] != full]
+        horizontal = not any(prev & ~c for c, prev, _ in below)
+        loose = s.depth > r or s.branching > r
+        vertical = s.depth == 1 or not any(loose or union & ~c for c, _, union in below)
+        return vertical, horizontal
     vertical = horizontal = True
     for index, mask in s.nodes.items():
         if mask == full:

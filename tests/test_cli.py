@@ -291,6 +291,79 @@ def write_document(tmp_path, doc):
     return str(path)
 
 
+def fix_b_with(**fields):
+    return lambda d: {**d, **fields}
+
+
+def fix_b_scheme_a_with(**fields):
+    return lambda d: {**d, "schemes": {**d["schemes"], "A": {**d["schemes"]["A"], **fields}}}
+
+
+@pytest.mark.parametrize(
+    "argv, change, code, line",
+    [
+        pytest.param(["theta", "x", "1"], None, 2, "finsection theta: error: argument k: 'x' is not an integer", id="theta-text"),
+        pytest.param(["theta", "0", "1"], None, 2, "finsection theta: error: argument k: value must be >= 1", id="theta-zero"),
+        pytest.param(["theta", "1", "2", "x"], None, 2, "finsection: error: unrecognized arguments: x", id="theta-extra"),
+        pytest.param(["validate"], lambda d: [d], 2, "parse error: document must be a JSON object", id="not-an-object"),
+        pytest.param(
+            ["validate"], lambda d: {k: v for k, v in d.items() if k != "grid"}, 2, "parse error: document is missing 'grid'",
+            id="no-grid",
+        ),
+        pytest.param(["validate"], fix_b_with(grid="0"), 2, "parse error: document.grid has the wrong type", id="grid-text"),
+        pytest.param(["validate"], fix_b_with(sets=[]), 2, "parse error: document.sets must be an object", id="sets-array"),
+        pytest.param(
+            ["validate"], fix_b_with(sets={"P": "x"}), 2, "parse error: sets.P must be an array of [atom, index] pairs",
+            id="set-text",
+        ),
+        pytest.param(
+            ["validate"], lambda d: {**d, "space": {**d["space"], "atoms": [1, 2, 3, 4]}}, 2,
+            "parse error: space.atoms must be strings", id="atoms-ints",
+        ),
+        pytest.param(
+            ["validate"], lambda d: {**d, "filtration": [[[1, 2]]] + d["filtration"][1:]}, 2,
+            "parse error: filtration[0] must be an array of atom arrays", id="filtration-atom-ints",
+        ),
+        pytest.param(["validate"], fix_b_with(times={"tau": 3}), 2, "parse error: times.tau must be an object", id="time-int"),
+        pytest.param(["validate"], fix_b_with(extra=1), 2, "parse error: unknown document field 'extra'", id="unknown-field"),
+        pytest.param(
+            ["section", "--kind", "predictable", "--set", "P"], fix_b_with(times={"tau": {"w1": 1, "w2": 1, "w3": "inf"}}), 3,
+            "invariant violation: times.tau: time literal must assign every atom exactly once", id="time-short-an-atom",
+        ),
+        pytest.param(
+            ["souslin", "eval", "--scheme", "A"], fix_b_scheme_a_with(ground_set=[], paving=[[]], nodes={}), 3,
+            "invariant violation: schemes.A: ground set must be nonempty", id="scheme-empty-ground",
+        ),
+        pytest.param(
+            ["souslin", "eval", "--scheme", "A"], fix_b_scheme_a_with(paving=[], nodes={}), 3,
+            "invariant violation: schemes.A: paving needs at least one member", id="scheme-empty-paving",
+        ),
+        pytest.param(
+            ["souslin", "eval", "--scheme", "A"], fix_b_scheme_a_with(depth=0), 3,
+            "invariant violation: schemes.A: depth and branching bounds must be positive", id="scheme-depth-0",
+        ),
+        pytest.param(
+            ["souslin", "monotonize", "--scheme", "A", "--scheme", "B"], lambda d: d, 4,
+            "precondition failure: souslin monotonize takes exactly one scheme", id="monotonize-two",
+        ),
+    ],
+)
+def test_each_refusal_exits_with_its_code_and_names_itself(capsys, tmp_path, argv, change, code, line):
+    if change is not None:
+        argv = argv + [write_document(tmp_path, change(json.loads(Path(FIX_B).read_text())))]
+    try:
+        got, by_argparse = main(argv), False
+    except SystemExit as exc:
+        got, by_argparse = exc.code, True
+    lines = capsys.readouterr().err.splitlines()
+    assert got == code
+    if by_argparse:
+        # argparse writes its usage first; its width follows the terminal
+        assert lines[0].startswith("usage: finsection") and lines[-1] == line
+    else:
+        assert lines == [line]
+
+
 def test_zero_denominator_weight_is_a_violation(capsys, tmp_path):
     doc = json.loads(Path(FIX_B).read_text())
     doc["space"]["probs"][0] = "1/0"

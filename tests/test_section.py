@@ -1,5 +1,6 @@
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -206,6 +207,57 @@ def test_section_from_scheme_refuses_a_permuted_cell_ground():
     scheme = SouslinScheme(paving, 1, 1, {(1,): paving.mask_of(cells)})
     with pytest.raises(ValueError, match="scheme ground set must be the atoms x grid cells of the space"):
         section_from_scheme(scheme, X, Fraction(0))
+
+
+def test_section_from_scheme_refuses_a_non_monotone_scheme():
+    X = fix_b()
+    ground = tuple((a, k) for k in range(X.n_times) for a in X.atoms)
+    late = frozenset({("w1", 2), ("w2", 2)})
+    paving = Paving.from_sets(ground, [frozenset(), late])
+    # the child (1, 2) reads as the full set, outside its parent
+    scheme = SouslinScheme(paving, 2, 2, {(1,): paving.mask_of(late)})
+    assert check_monotone(scheme) == (False, True)
+    with pytest.raises(ValueError, match="section_from_scheme needs a monotone scheme"):
+        section_from_scheme(scheme, X, Fraction(0))
+
+
+def test_section_from_the_computed_scheme_at_twelve_slices_within_budget():
+    # the computed scheme stands for sum 12^l nodes; its checks read 12 masks
+    atoms = ("w1", "w2", "w3", "w4")
+    X = FilteredSpace(
+        SampleSpace(atoms, (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10))),
+        TimeGrid(tuple(Fraction(k) for k in range(14))),
+        (trivial_sigma(atoms),) + (discrete_sigma(atoms),) * 13,
+    )
+    one_atom = StochasticSet(frozenset(("w1", k) for k in range(2, 14)))
+    staircase = StochasticSet(frozenset((atoms[k % 4], k) for k in range(2, 14)))
+    for P in (one_atom, staircase):
+        for eps in (Fraction(0), Fraction(1, 4), Fraction(1, 2)):
+            t0 = time.perf_counter()
+            res = section_from_scheme(build_monotone_scheme(P, X), X, eps)
+            elapsed = time.perf_counter() - t0
+            assert elapsed < 1.0, f"section_from_scheme at r = 12 took {elapsed:.2f}s (budget 1s)"
+            assert len(res.trace.chosen_prefix) == 12
+            assert res == predictable_section(P, X, eps, STRATEGY_SOUSLIN)
+
+
+def test_computed_scheme_memory_is_linear_in_cells():
+    # 512 atoms x 64 points: an element -> bit table alone would peak near 70 MB
+    atoms = tuple(f"w{i}" for i in range(512))
+    X = FilteredSpace(
+        SampleSpace.uniform(atoms),
+        TimeGrid(tuple(Fraction(k) for k in range(64))),
+        (trivial_sigma(atoms),) + (discrete_sigma(atoms),) * 63,
+    )
+    rng = random.Random(1)
+    P = StochasticSet(frozenset((a, k) for k in range(2, 64) for a in atoms if rng.random() < 0.05))
+    tracemalloc.start()
+    try:
+        build_monotone_scheme(P, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"build_monotone_scheme peaked at {peak / 2**20:.1f} MB (budget 16 MB)"
 
 
 def test_souslin_route_on_a_grid_of_64_points_within_budget():

@@ -1,5 +1,7 @@
 import random
-from itertools import product
+import re
+from itertools import accumulate, product
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
@@ -412,6 +414,26 @@ def test_cumulative_nodes_are_validated_by_masks_and_bounds():
         SouslinScheme(paving, 2, 2, CumulativeNodes([masks[0], paving.mask_of(["2"])]))
 
 
+def test_check_monotone_decides_cumulative_nodes_from_their_masks():
+    # the dict twin of the same nodes takes the stored walk, the oracle here
+    rng = random.Random(7)
+    seen = set()
+    for _ in range(1500):
+        r = rng.randint(1, 4)
+        paving = all_subsets_paving(GROUND3[: rng.randint(1, 3)])
+        full = paving.full_mask
+        masks = [rng.choice([rng.randint(0, full), full]) for _ in range(r)]
+        if rng.random() < 0.5:  # a chain, as build_monotone_scheme makes
+            masks = list(accumulate(sorted(masks), or_))
+        nodes = CumulativeNodes(masks)
+        depth, branching = rng.randint(r, r + 2), rng.randint(r, r + 2)
+        flags = check_monotone(SouslinScheme(paving, depth, branching, nodes))
+        assert flags == check_monotone(SouslinScheme(paving, depth, branching, dict(nodes)))
+        seen.add(flags)
+    # a vertical cumulative scheme has C_j in C_m for j < m, so it is horizontal
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
 # ------------------------------------------------------------- invariants
 
 def test_scheme_validation_rejects_out_of_bounds_nodes():
@@ -428,6 +450,25 @@ def test_scheme_value_must_come_from_paving():
     paving = Paving.from_sets(GROUND3, [["1"]])
     with pytest.raises(ValueError):
         SouslinScheme(paving, 1, 1, {(1,): paving.mask_of(["1", "2"])})
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Paving((), (0,)), "ground set must be nonempty"),
+        (lambda: Paving(("a",), ()), "paving needs at least one member"),
+        (lambda: Paving(("a",), (2,)), "paving member is not a subset of the ground set"),
+        (lambda: Paving(("a",), (-1,)), "paving member is not a subset of the ground set"),
+        (lambda: SouslinScheme(Paving(("a",), (1,)), 0, 1, {}), "depth and branching bounds must be positive"),
+        (lambda: SouslinScheme(Paving(("a",), (1,)), 1, 0, {}), "depth and branching bounds must be positive"),
+        (lambda: SouslinScheme(Paving(("a",), (1,)), 1, 1, {}).node(()), "scheme index must be nonempty"),
+        (lambda: SouslinScheme(Paving(("a",), (1,)), 1, 1, {}).node((1, 0)), "scheme index entries must be positive"),
+        (lambda: SouslinScheme(Paving(("a",), (1,)), 1, 2, {}).with_branching(1), "branching bound can only be raised"),
+    ],
+)
+def test_paving_and_scheme_refusals_name_themselves(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_empty_scheme_evaluates_to_nothing():
