@@ -4,14 +4,25 @@ space plus named sets, times, and schemes.
 Loading is two-phase: structural problems (wrong JSON shapes and types)
 raise :class:`DocumentParseError`, while semantic invariant violations are
 collected into a list so a validation run can report all of them at once.
+
+Loading costs what the document says, not atoms x steps x checks.  Each
+filtration step is derived from the one before: a block written as the
+same atom array as one of the previous step's blocks is that step's
+frozenset, and only the other blocks are built and checked, against the
+blocks they replace.  When that check fails, the step is built and
+checked on its own, so the violation lines are those of the full check.
+Set literals, rationals and time literals are type-checked in bulk, one
+pass per value.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import itemgetter
 
-from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults
+from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults, _past_grid
 from .measure import SampleSpace, SigmaAlgebra, parse_rational
 from .souslin import SouslinScheme, scheme_from_literal
 
@@ -63,18 +74,22 @@ def _optional(obj, key, where):
     return value
 
 
+_INF_LITERAL = {"inf": INF}
+
+
 def time_from_literal(obj, atoms) -> RandomTime:
+    """Read a time literal: integers stay, ``"inf"`` becomes ``INF``, in one
+    bulk pass; ``RandomTime`` then refuses negative indices."""
     if not isinstance(obj, dict):
         raise ValueError("time literal must be an object")
-    values = {}
-    for atom, v in obj.items():
-        if v == "inf":
-            values[atom] = INF
-        elif isinstance(v, int) and not isinstance(v, bool):
-            values[atom] = v
-        else:
-            raise ValueError(f"time value for {atom!r} must be a grid index or \"inf\"")
-    if set(values) != set(atoms):
+    vs = list(obj.values())
+    kinds = list(map(type, vs))
+    if not (set(kinds) <= {int, str} and kinds.count(str) == vs.count("inf")):
+        for atom, v in obj.items():  # name the first bad value
+            if v != "inf" and not (isinstance(v, int) and not isinstance(v, bool)):
+                raise ValueError(f"time value for {atom!r} must be a grid index or \"inf\"")
+    values = dict(zip(obj, map(_INF_LITERAL.get, vs, vs)))
+    if values.keys() != set(atoms):
         raise ValueError("time literal must assign every atom exactly once")
     return RandomTime(values)
 
@@ -85,23 +100,63 @@ def time_to_literal(tau: RandomTime) -> dict:
 
 def _set_literal_slices(name, literal) -> dict:
     """Group a set literal's [atom, index] pairs by index; a malformed
-    literal raises DocumentParseError."""
+    literal raises DocumentParseError.  The pairs are split into an atom
+    column and an index column, each type-checked in one pass, and the
+    atoms are grouped a run of equal indices at a time."""
     shape = f"sets.{name} must be an array of [atom, index] pairs"
-    if not isinstance(literal, list):
+    if not (isinstance(literal, list) and all(map(isinstance, literal, repeat(list)))):
+        raise DocumentParseError(shape)
+    try:
+        atoms = [atom for atom, _ in literal]
+        ks = [k for _, k in literal]
+    except ValueError:  # a pair of the wrong length
+        raise DocumentParseError(shape) from None
+    if not (
+        all(map(isinstance, atoms, repeat(str)))
+        and all(map(isinstance, ks, repeat(int)))
+        and not any(map(isinstance, ks, repeat(bool)))
+    ):
         raise DocumentParseError(shape)
     slices: dict[int, list] = {}
-    for pair in literal:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise DocumentParseError(shape)
-        atom, k = pair
-        if not isinstance(atom, str) or not isinstance(k, int) or isinstance(k, bool):
-            raise DocumentParseError(shape)
-        row = slices.get(k)
-        if row is None:
-            slices[k] = [atom]
-        else:
-            row.append(atom)
+    end = 0
+    for k, run in groupby(ks):
+        start, end = end, end + len(list(run))
+        slices.setdefault(k, []).extend(atoms[start:end])
     return slices
+
+
+def _parse_rationals(literals) -> list:
+    """``parse_rational`` over a list, each distinct literal parsed once, in
+    order of first appearance, so the first bad literal is named."""
+    if not all(map(isinstance, literals, repeat(str))):
+        return list(map(parse_rational, literals))
+    parsed = {text: parse_rational(text) for text in dict.fromkeys(literals)}
+    return list(map(parsed.__getitem__, literals))
+
+
+def _partition_literal(k, part, previous) -> tuple[list, list, list]:
+    """Type-check filtration[k] and read its blocks.  ``previous`` maps the
+    first atom of each block of the step before to that block's atom array
+    and frozenset; an array equal to one of those arrays is that frozenset.
+    Returns every block in document order, then the kept and the new ones.
+    Only the new blocks' atoms are type-checked and hashed: an equal array
+    holds the same strings, already checked."""
+    shape = f"filtration[{k}] must be an array of atom arrays"
+    if not (isinstance(part, list) and all(map(isinstance, part, repeat(list)))):
+        raise DocumentParseError(shape)
+    blocks, kept, new = [], [], []
+    for b in part:
+        old = previous.get(b[0]) if b and isinstance(b[0], str) else None
+        if old is not None and old[0] == b:
+            block = old[1]
+            kept.append(block)
+        elif all(map(isinstance, b, repeat(str))):
+            block = frozenset(b)
+            new.append(block)
+        else:
+            raise DocumentParseError(shape)
+        blocks.append(block)
+    return blocks, kept, new
 
 
 def build_document(obj: dict):
@@ -119,7 +174,7 @@ def build_document(obj: dict):
         raise DocumentParseError("space.atoms must be strings")
     space = None
     try:
-        weights = [parse_rational(p) for p in prob_list]
+        weights = _parse_rationals(prob_list)
         space = SampleSpace(tuple(atom_list), tuple(weights))
     except ValueError as exc:
         violations.append(f"space: {exc}")
@@ -133,14 +188,18 @@ def build_document(obj: dict):
 
     filt_list = _require(obj, "filtration", list, "document")
     sigmas = []
+    previous: dict = {}  # the last step's blocks: first atom -> (atom array, block)
     for k, part in enumerate(filt_list):
-        if not isinstance(part, list) or not all(isinstance(b, list) and all(isinstance(a, str) for a in b) for b in part):
-            raise DocumentParseError(f"filtration[{k}] must be an array of atom arrays")
-        try:
-            sigmas.append(SigmaAlgebra(tuple(frozenset(b) for b in part)))
-        except ValueError as exc:
-            violations.append(f"filtration[{k}]: {exc}")
-            sigmas.append(None)
+        blocks, kept, new = _partition_literal(k, part, previous)
+        sigma = sigmas[-1]._split(kept, new) if sigmas and sigmas[-1] is not None else None
+        if sigma is None:  # not a split of the step before: build and check it alone
+            try:
+                sigma = SigmaAlgebra(tuple(blocks))
+            except ValueError as exc:
+                violations.append(f"filtration[{k}]: {exc}")
+        sigmas.append(sigma)
+        # a valid step has nonempty, disjoint blocks: one first atom each
+        previous = dict(zip(map(itemgetter(0), part), zip(part, blocks))) if sigma is not None else {}
 
     X = None
     if space is not None and grid is not None and all(s is not None for s in sigmas):
@@ -179,7 +238,7 @@ def build_document(obj: dict):
         except ValueError as exc:
             violations.append(f"times.{name}: {exc}")
             continue
-        if grid is not None and any(v != INF and v >= len(grid) for v in tau.values.values()):
+        if grid is not None and _past_grid(tau, len(grid)):
             violations.append(f"times.{name}: value outside the grid")
         else:
             times[name] = tau

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import is_
 from typing import NamedTuple
 
 from .measure import SampleSpace, SigmaAlgebra, is_measurable, refines
@@ -71,6 +73,9 @@ class FilteredSpace:
         if len(self.filtration) != len(self.grid):
             raise ValueError("need exactly one sigma-algebra per grid point")
         universe = frozenset(self.space.atoms)
+        if self.filtration[0].universe == universe:
+            # one object, so the partitions sharing it compare by identity
+            universe = self.filtration[0].universe
         object.__setattr__(self, "_atom_set", universe)
         faults = _filtration_faults(universe, self.filtration)
         if faults:
@@ -99,26 +104,40 @@ class FilteredSpace:
 def _filtration_faults(universe: frozenset, sigmas) -> list[str]:
     """One line per partition that misses the atom set or, when all cover
     it, per step that fails to refine the one before."""
-    lines = [f"filtration[{k}] does not partition the atom set" for k, s in enumerate(sigmas) if s.universe != universe]
+    lines = [
+        f"filtration[{k}] does not partition the atom set"
+        for k, s in enumerate(sigmas)
+        if s.universe is not universe and s.universe != universe
+    ]
     steps = enumerate(zip(sigmas, sigmas[1:]), start=1)
     return lines or [f"filtration[{k}] does not refine filtration[{k - 1}]" for k, (a, b) in steps if not refines(b, a)]
 
 
 @dataclass(frozen=True)
 class RandomTime:
-    """Total map from atoms to grid indices or ``INF``."""
+    """Total map from atoms to grid indices or ``INF``.
+
+    The values are checked in bulk: plain ``int`` values that are
+    nonnegative and ``INF`` itself pass at once.  Anything else goes
+    through the per-value check, which names the first bad value, and
+    any other value equal to infinity is stored as ``INF``."""
 
     values: dict
 
     def __post_init__(self):
-        vals = {}
-        for atom, v in self.values.items():
-            if v == INF:
-                vals[atom] = INF
-            elif isinstance(v, int) and not isinstance(v, bool) and v >= 0:
-                vals[atom] = v
-            else:
-                raise ValueError(f"bad time value {v!r} for atom {atom!r}")
+        vals = dict(self.values)
+        vs = list(vals.values())
+        kinds = list(map(type, vs))
+        if not (
+            set(kinds) <= {int, float}
+            and kinds.count(float) == sum(map(is_, vs, repeat(INF)))
+            and min(vs, default=0) >= 0
+        ):
+            for atom, v in vals.items():
+                if v == INF:
+                    vals[atom] = INF
+                elif not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
+                    raise ValueError(f"bad time value {v!r} for atom {atom!r}")
         object.__setattr__(self, "values", vals)
 
     def value(self, atom):
@@ -134,12 +153,25 @@ class RandomTime:
         return frozenset(a for a, v in self.values.items() if v == k)
 
 
+def _levels(tau: RandomTime) -> dict:
+    """Every level set {tau = v} in one pass over the atoms: value -> atoms."""
+    groups: dict = {}
+    for atom, v in tau.values.items():
+        groups.setdefault(v, []).append(atom)
+    return {v: frozenset(atoms) for v, atoms in groups.items()}
+
+
+def _past_grid(tau: RandomTime, n: int) -> bool:
+    """True iff some finite value of the time is not below ``n``."""
+    return max(filter(INF.__ne__, tau.values.values()), default=-1) >= n
+
+
 def constant_time(atoms, k: int) -> RandomTime:
-    return RandomTime({a: k for a in atoms})
+    return RandomTime(dict.fromkeys(atoms, k))
 
 
 def infinite_time(atoms) -> RandomTime:
-    return RandomTime({a: INF for a in atoms})
+    return RandomTime(dict.fromkeys(atoms, INF))
 
 
 @dataclass(frozen=True, init=False)
@@ -213,26 +245,32 @@ class TimeClassification(NamedTuple):
 
 
 def _check_total(tau: RandomTime, X: FilteredSpace):
-    if set(tau.values) != set(X.atoms):
+    if tau.values.keys() != X.atom_set:
         raise ValueError("random time must be total on the space's atoms")
-    n = X.n_times
-    if any(v != INF and v >= n for v in tau.values.values()):
+    if _past_grid(tau, X.n_times):
         raise ValueError("random time values must be grid indices or INF")
 
 
 def is_stopping_time(tau: RandomTime, X: FilteredSpace) -> bool:
-    """True iff every level set {tau <= t_k} is measurable at time t_k."""
+    """True iff every level set {tau <= t_k} is measurable at time t_k.
+
+    The filtration refines, so once {tau <= t_(k-1)} is measurable at
+    t_(k-1) it is at t_k too, and {tau <= t_k} is measurable at t_k exactly
+    when {tau = t_k} is.  The level sets are grouped in one pass, and each
+    atom is looked up once."""
     _check_total(tau, X)
-    return all(is_measurable(tau.level_le(k), X.sigma_at(k)) for k in range(X.n_times))
+    levels = _levels(tau)
+    return all(is_measurable(levels.get(k, ()), X.sigma_at(k)) for k in range(X.n_times))
 
 
 def is_predictable_time(tau: RandomTime, X: FilteredSpace) -> bool:
     """Discrete predictability: {tau <= t_k} measurable one step earlier for
-    k >= 1, and {tau = t_0} measurable at t_0."""
+    k >= 1, and {tau = t_0} measurable at t_0.  As for stopping times, on a
+    refining filtration this holds exactly when each {tau = t_k} is
+    measurable at the lookback index of k."""
     _check_total(tau, X)
-    if not is_measurable(tau.level_eq(0), X.sigma_at(0)):
-        return False
-    return all(is_measurable(tau.level_le(k), X.sigma_at(k - 1)) for k in range(1, X.n_times))
+    levels = _levels(tau)
+    return all(is_measurable(levels.get(k, ()), X.lookback(k)) for k in range(X.n_times))
 
 
 def debut(S: StochasticSet, X: FilteredSpace) -> RandomTime:
@@ -287,8 +325,9 @@ def interval(
 
 def restrict(tau: RandomTime, subset) -> RandomTime:
     """Keep the time on the given atoms, send everything else to infinity."""
-    subset = frozenset(subset)
-    return RandomTime({a: (v if a in subset else INF) for a, v in tau.values.items()})
+    out = dict.fromkeys(tau.values, INF)
+    out.update((a, tau.values[a]) for a in subset if a in out)
+    return RandomTime(out)
 
 
 def _combine(times, pick, name: str) -> RandomTime:
@@ -348,9 +387,10 @@ def classify_time(tau: RandomTime, X: FilteredSpace) -> TimeClassification:
     """
     if not is_stopping_time(tau, X):
         raise ValueError("classify_time needs a stopping time")
+    levels = _levels(tau)
     cover = []
     for k in range(X.n_times):
-        hit = tau.level_eq(k)
+        hit = levels.get(k)
         if not hit:
             continue
         for block in X.lookback(k).blocks:

@@ -3,6 +3,12 @@ outer measure induced by measurable covers.
 
 All quantities are exact rationals; every equality test in the package is
 exact, so no tolerances appear anywhere.
+
+A partition that refines another by splitting a few of its blocks can be
+derived from it (``SigmaAlgebra._split``): the kept blocks are the same
+frozenset objects, so ``refines`` finds them among the coarser blocks by a
+set lookup that stops at the same object, and tests only the new blocks
+for inclusion.
 """
 
 from __future__ import annotations
@@ -11,6 +17,8 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
+from operator import itemgetter
 
 __all__ = [
     "SampleSpace",
@@ -34,10 +42,15 @@ def parse_rational(text) -> Fraction:
     Fraction; the whole string must match, with no surrounding whitespace."""
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
+    p, _, q = text.partition("/")
     try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rational literal: {text!r}") from None
+        numerator, denominator = int(p), int(q) if q else 1
+    except ValueError:
+        # past the interpreter's digit limit for int(str)
+        raise ValueError(f"rational literal too long ({len(text)} characters): {text[:20] + '...'!r}") from None
+    if not denominator:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
+    return Fraction(numerator, denominator)
 
 
 def format_rational(value: Fraction) -> str:
@@ -51,24 +64,26 @@ class SampleSpace:
     """Ordered finite atom list with exact nonnegative weights summing to 1.
 
     Each weight is also kept as an integer numerator over one common
-    denominator, so a probability is an integer sum and one Fraction."""
+    denominator, so a probability is an integer sum and one Fraction.
+    ``Fraction`` weights are kept as given; others are converted."""
 
     atoms: tuple[str, ...]
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(w if type(w) is Fraction else Fraction(w) for w in self.weights))
         if not self.atoms:
             raise ValueError("sample space needs at least one atom")
         if len(set(self.atoms)) != len(self.atoms):
             raise ValueError("atom ids must be distinct")
         if len(self.weights) != len(self.atoms):
             raise ValueError("exactly one weight per atom required")
-        if any(w < 0 for w in self.weights):
+        pairs = [(w.numerator, w.denominator) for w in self.weights]
+        denominator = math.lcm(*{q for _, q in pairs})
+        numerators = [p * (denominator // q) for p, q in pairs]
+        if min(numerators) < 0:
             raise ValueError("weights must be nonnegative")
-        denominator = math.lcm(*{w.denominator for w in self.weights})
-        numerators = [w.numerator * (denominator // w.denominator) for w in self.weights]
         if sum(numerators) != denominator:
             raise ValueError("weights must sum to exactly 1")
         object.__setattr__(self, "_denominator", denominator)
@@ -109,17 +124,53 @@ class SigmaAlgebra:
             raise ValueError("partition needs at least one block")
         if not all(blocks):
             raise ValueError("partition blocks must be nonempty")
-        # disjoint blocks have distinct minima, so this is the order of key=sorted
-        blocks = tuple(sorted(blocks, key=min))
-        object.__setattr__(self, "blocks", blocks)
-        block_of = {}
-        for block in blocks:
-            for atom in block:
-                if atom in block_of:
-                    raise ValueError("partition blocks must be pairwise disjoint")
-                block_of[atom] = block
+        block_of = {atom: block for block in blocks for atom in block}
+        if len(block_of) != sum(map(len, blocks)):
+            raise ValueError("partition blocks must be pairwise disjoint")
+        self._store(zip(map(min, blocks), blocks), block_of, frozenset(block_of))
+
+    def _store(self, keyed, block_of, universe):
+        """Order the blocks by their least atom.  ``keyed`` holds (least atom,
+        block) pairs; disjoint blocks have distinct minima."""
+        keyed = sorted(keyed, key=itemgetter(0))
+        object.__setattr__(self, "blocks", tuple(map(itemgetter(1), keyed)))
+        object.__setattr__(self, "_minima", tuple(map(itemgetter(0), keyed)))
         object.__setattr__(self, "_block_of", block_of)
-        object.__setattr__(self, "_universe", frozenset(block_of))
+        object.__setattr__(self, "_universe", universe)
+
+    def _split(self, kept, new) -> SigmaAlgebra | None:
+        """The partition made of ``kept``, some of this partition's own block
+        objects, and the frozensets ``new``; None unless the new blocks are
+        nonempty, pairwise disjoint, each inside one block that is not kept,
+        and together cover every block that is not kept.  Then the result
+        partitions the same universe and refines this partition.  It shares
+        the kept blocks and the universe, and its atom table is this one's,
+        copied and updated on the new blocks' atoms only: O(blocks + atoms
+        of the new blocks).  With no new block it is this partition."""
+        table = self._block_of
+        kept_ids = set(map(id, kept))
+        if len(kept_ids) != len(kept):
+            return None
+        replaced = {}
+        for block in new:
+            owner = table.get(next(iter(block))) if block else None
+            if owner is None or id(owner) in kept_ids or not block <= owner:
+                return None
+            replaced[id(owner)] = owner
+        size = sum(map(len, replaced.values()))
+        if len(kept) + len(replaced) != len(self.blocks) or sum(map(len, new)) != size:
+            return None
+        if len(frozenset().union(*new)) != size:
+            return None
+        if not new:
+            return self
+        block_of = dict(table)
+        for block in new:
+            block_of.update(dict.fromkeys(block, block))
+        still = compress(zip(self._minima, self.blocks), map(kept_ids.__contains__, map(id, self.blocks)))
+        out = SigmaAlgebra.__new__(SigmaAlgebra)
+        out._store(chain(still, zip(map(min, new), new)), block_of, self._universe)
+        return out
 
     @property
     def universe(self) -> frozenset:
@@ -159,24 +210,35 @@ def generate_sigma(atoms, family) -> SigmaAlgebra:
 def refines(finer: SigmaAlgebra, coarser: SigmaAlgebra) -> bool:
     """True iff every block of ``finer`` sits inside a block of ``coarser``.
     Over one universe a block sits inside some coarser block exactly when
-    it sits inside the coarser block of any one of its atoms."""
-    if finer.universe != coarser.universe:
+    it is one of the coarser blocks (a set lookup, which finds a shared
+    block object at once) or sits inside the coarser block of any one of
+    its atoms; only the blocks that are not shared take the second test.
+    A partition refines itself at once."""
+    if finer is coarser:
+        return True
+    if finer.universe is not coarser.universe and finer.universe != coarser.universe:
         return False
-    return all(fb <= coarser.block_of(next(iter(fb))) for fb in finer.blocks)
+    table = coarser._block_of
+    return all(fb <= table[next(iter(fb))] for fb in set(finer.blocks).difference(coarser.blocks))
+
+
+def _blocks_meeting(subset: frozenset, sigma: SigmaAlgebra) -> set:
+    if not subset <= sigma.universe:
+        raise ValueError("subset must live inside the sigma-algebra's universe")
+    return set(map(sigma._block_of.__getitem__, subset))
 
 
 def is_measurable(subset, sigma: SigmaAlgebra) -> bool:
+    """A union of blocks: the disjoint blocks meeting the subset hold no
+    atom outside it, so their sizes add up to its size."""
     subset = frozenset(subset)
-    return measurable_cover(subset, sigma) == subset
+    return sum(map(len, _blocks_meeting(subset, sigma))) == len(subset)
 
 
 def measurable_cover(subset, sigma: SigmaAlgebra) -> frozenset:
     """The smallest measurable superset: the union of all blocks meeting the
     subset.  Independent of any measure on the space."""
-    subset = frozenset(subset)
-    if not subset <= sigma.universe:
-        raise ValueError("subset must live inside the sigma-algebra's universe")
-    return frozenset().union(*{sigma.block_of(a) for a in subset})
+    return frozenset().union(*_blocks_meeting(frozenset(subset), sigma))
 
 
 def outer_measure(subset, sigma: SigmaAlgebra, space: SampleSpace) -> Fraction:

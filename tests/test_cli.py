@@ -381,6 +381,24 @@ def test_zero_denominator_epsilon_is_a_precondition_failure(capsys):
     assert "precondition failure" in err
 
 
+# past the interpreter's 4300-digit limit for int(str)
+LONG_LITERAL = "1" + "0" * 5000 + "/1"
+TOO_LONG = "rational literal too long (5003 characters): '10000000000000000000...'"
+
+
+def test_over_long_weight_is_a_violation_quoting_a_truncated_literal(capsys, tmp_path):
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["space"]["probs"][0] = LONG_LITERAL
+    code, out, err = run_cli(capsys, ["validate", write_document(tmp_path, doc)])
+    assert (code, err) == (3, "")
+    assert json.loads(out)["violations"] == [f"space: {TOO_LONG}"]
+
+
+def test_over_long_epsilon_is_a_precondition_failure_quoting_a_truncated_literal(capsys):
+    argv = ["section", "--kind", "predictable", "--set", "P", "--epsilon", LONG_LITERAL, FIX_B]
+    assert run_cli(capsys, argv) == (4, "", f"precondition failure: {TOO_LONG}\n")
+
+
 @pytest.mark.parametrize("literal", ["1/4\n", "\u0661/4"], ids=["trailing-newline", "arabic-indic-digit"])
 def test_non_ascii_or_newline_weight_is_a_violation(capsys, tmp_path, literal):
     doc = json.loads(Path(FIX_B).read_text())
