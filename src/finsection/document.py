@@ -5,14 +5,14 @@ Loading is two-phase: structural problems (wrong JSON shapes and types)
 raise :class:`DocumentParseError`, while semantic invariant violations are
 collected into a list so a validation run can report all of them at once.
 
-Loading costs what the document says, not atoms x steps x checks.  Each
-filtration step is derived from the one before: a block written as the
-same atom array as one of the previous step's blocks is that step's
+Each filtration step is derived from the one before: a block written as
+the same atom array as one of the previous step's blocks is that step's
 frozenset, and only the other blocks are built and checked, against the
-blocks they replace.  When that check fails, the step is built and
+blocks they replace.  So the refinement check and the new frozensets cost
+what changes between steps; the atom -> block table is still copied once
+per step, O(atoms) each.  When the check fails, the step is built and
 checked on its own, so the violation lines are those of the full check.
-Set literals, rationals and time literals are type-checked in bulk, one
-pass per value.
+Set literals are type-checked a column at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import itemgetter
 
-from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults, _past_grid
+from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults
 from .measure import SampleSpace, SigmaAlgebra, parse_rational
 from .souslin import SouslinScheme, scheme_from_literal
 
@@ -74,22 +74,18 @@ def _optional(obj, key, where):
     return value
 
 
-_INF_LITERAL = {"inf": INF}
-
-
 def time_from_literal(obj, atoms) -> RandomTime:
-    """Read a time literal: integers stay, ``"inf"`` becomes ``INF``, in one
-    bulk pass; ``RandomTime`` then refuses negative indices."""
     if not isinstance(obj, dict):
         raise ValueError("time literal must be an object")
-    vs = list(obj.values())
-    kinds = list(map(type, vs))
-    if not (set(kinds) <= {int, str} and kinds.count(str) == vs.count("inf")):
-        for atom, v in obj.items():  # name the first bad value
-            if v != "inf" and not (isinstance(v, int) and not isinstance(v, bool)):
-                raise ValueError(f"time value for {atom!r} must be a grid index or \"inf\"")
-    values = dict(zip(obj, map(_INF_LITERAL.get, vs, vs)))
-    if values.keys() != set(atoms):
+    values = {}
+    for atom, v in obj.items():
+        if v == "inf":
+            values[atom] = INF
+        elif isinstance(v, int) and not isinstance(v, bool):
+            values[atom] = v
+        else:
+            raise ValueError(f"time value for {atom!r} must be a grid index or \"inf\"")
+    if set(values) != set(atoms):
         raise ValueError("time literal must assign every atom exactly once")
     return RandomTime(values)
 
@@ -125,38 +121,25 @@ def _set_literal_slices(name, literal) -> dict:
     return slices
 
 
-def _parse_rationals(literals) -> list:
-    """``parse_rational`` over a list, each distinct literal parsed once, in
-    order of first appearance, so the first bad literal is named."""
-    if not all(map(isinstance, literals, repeat(str))):
-        return list(map(parse_rational, literals))
-    parsed = {text: parse_rational(text) for text in dict.fromkeys(literals)}
-    return list(map(parsed.__getitem__, literals))
-
-
-def _partition_literal(k, part, previous) -> tuple[list, list, list]:
+def _partition_literal(k, part, previous) -> list:
     """Type-check filtration[k] and read its blocks.  ``previous`` maps the
     first atom of each block of the step before to that block's atom array
     and frozenset; an array equal to one of those arrays is that frozenset.
-    Returns every block in document order, then the kept and the new ones.
-    Only the new blocks' atoms are type-checked and hashed: an equal array
+    Only the other blocks' atoms are type-checked and hashed: an equal array
     holds the same strings, already checked."""
     shape = f"filtration[{k}] must be an array of atom arrays"
     if not (isinstance(part, list) and all(map(isinstance, part, repeat(list)))):
         raise DocumentParseError(shape)
-    blocks, kept, new = [], [], []
+    blocks = []
     for b in part:
         old = previous.get(b[0]) if b and isinstance(b[0], str) else None
         if old is not None and old[0] == b:
-            block = old[1]
-            kept.append(block)
+            blocks.append(old[1])
         elif all(map(isinstance, b, repeat(str))):
-            block = frozenset(b)
-            new.append(block)
+            blocks.append(frozenset(b))
         else:
             raise DocumentParseError(shape)
-        blocks.append(block)
-    return blocks, kept, new
+    return blocks
 
 
 def build_document(obj: dict):
@@ -174,7 +157,7 @@ def build_document(obj: dict):
         raise DocumentParseError("space.atoms must be strings")
     space = None
     try:
-        weights = _parse_rationals(prob_list)
+        weights = [parse_rational(p) for p in prob_list]
         space = SampleSpace(tuple(atom_list), tuple(weights))
     except ValueError as exc:
         violations.append(f"space: {exc}")
@@ -190,8 +173,8 @@ def build_document(obj: dict):
     sigmas = []
     previous: dict = {}  # the last step's blocks: first atom -> (atom array, block)
     for k, part in enumerate(filt_list):
-        blocks, kept, new = _partition_literal(k, part, previous)
-        sigma = sigmas[-1]._split(kept, new) if sigmas and sigmas[-1] is not None else None
+        blocks = _partition_literal(k, part, previous)
+        sigma = sigmas[-1]._split(blocks) if sigmas and sigmas[-1] is not None else None
         if sigma is None:  # not a split of the step before: build and check it alone
             try:
                 sigma = SigmaAlgebra(tuple(blocks))
@@ -238,7 +221,7 @@ def build_document(obj: dict):
         except ValueError as exc:
             violations.append(f"times.{name}: {exc}")
             continue
-        if grid is not None and _past_grid(tau, len(grid)):
+        if grid is not None and any(v != INF and v >= len(grid) for v in tau.values.values()):
             violations.append(f"times.{name}: value outside the grid")
         else:
             times[name] = tau

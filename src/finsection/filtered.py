@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
-from operator import is_
 from typing import NamedTuple
 
 from .measure import SampleSpace, SigmaAlgebra, is_measurable, refines
@@ -115,29 +113,19 @@ def _filtration_faults(universe: frozenset, sigmas) -> list[str]:
 
 @dataclass(frozen=True)
 class RandomTime:
-    """Total map from atoms to grid indices or ``INF``.
-
-    The values are checked in bulk: plain ``int`` values that are
-    nonnegative and ``INF`` itself pass at once.  Anything else goes
-    through the per-value check, which names the first bad value, and
-    any other value equal to infinity is stored as ``INF``."""
+    """Total map from atoms to grid indices or ``INF``."""
 
     values: dict
 
     def __post_init__(self):
-        vals = dict(self.values)
-        vs = list(vals.values())
-        kinds = list(map(type, vs))
-        if not (
-            set(kinds) <= {int, float}
-            and kinds.count(float) == sum(map(is_, vs, repeat(INF)))
-            and min(vs, default=0) >= 0
-        ):
-            for atom, v in vals.items():
-                if v == INF:
-                    vals[atom] = INF
-                elif not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
-                    raise ValueError(f"bad time value {v!r} for atom {atom!r}")
+        vals = {}
+        for atom, v in self.values.items():
+            if v == INF:
+                vals[atom] = INF
+            elif isinstance(v, int) and not isinstance(v, bool) and v >= 0:
+                vals[atom] = v
+            else:
+                raise ValueError(f"bad time value {v!r} for atom {atom!r}")
         object.__setattr__(self, "values", vals)
 
     def value(self, atom):
@@ -161,17 +149,12 @@ def _levels(tau: RandomTime) -> dict:
     return {v: frozenset(atoms) for v, atoms in groups.items()}
 
 
-def _past_grid(tau: RandomTime, n: int) -> bool:
-    """True iff some finite value of the time is not below ``n``."""
-    return max(filter(INF.__ne__, tau.values.values()), default=-1) >= n
-
-
 def constant_time(atoms, k: int) -> RandomTime:
-    return RandomTime(dict.fromkeys(atoms, k))
+    return RandomTime({a: k for a in atoms})
 
 
 def infinite_time(atoms) -> RandomTime:
-    return RandomTime(dict.fromkeys(atoms, INF))
+    return RandomTime({a: INF for a in atoms})
 
 
 @dataclass(frozen=True, init=False)
@@ -245,9 +228,10 @@ class TimeClassification(NamedTuple):
 
 
 def _check_total(tau: RandomTime, X: FilteredSpace):
-    if tau.values.keys() != X.atom_set:
+    if set(tau.values) != set(X.atoms):
         raise ValueError("random time must be total on the space's atoms")
-    if _past_grid(tau, X.n_times):
+    n = X.n_times
+    if any(v != INF and v >= n for v in tau.values.values()):
         raise ValueError("random time values must be grid indices or INF")
 
 
@@ -325,9 +309,8 @@ def interval(
 
 def restrict(tau: RandomTime, subset) -> RandomTime:
     """Keep the time on the given atoms, send everything else to infinity."""
-    out = dict.fromkeys(tau.values, INF)
-    out.update((a, tau.values[a]) for a in subset if a in out)
-    return RandomTime(out)
+    subset = frozenset(subset)
+    return RandomTime({a: (v if a in subset else INF) for a, v in tau.values.items()})
 
 
 def _combine(times, pick, name: str) -> RandomTime:

@@ -8,7 +8,8 @@ A partition that refines another by splitting a few of its blocks can be
 derived from it (``SigmaAlgebra._split``): the kept blocks are the same
 frozenset objects, so ``refines`` finds them among the coarser blocks by a
 set lookup that stops at the same object, and tests only the new blocks
-for inclusion.
+for inclusion.  The derived partition's atom table is still a full copy,
+one O(atoms) step per derived partition.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
-from operator import itemgetter
 
 __all__ = [
     "SampleSpace",
@@ -127,34 +126,32 @@ class SigmaAlgebra:
         block_of = {atom: block for block in blocks for atom in block}
         if len(block_of) != sum(map(len, blocks)):
             raise ValueError("partition blocks must be pairwise disjoint")
-        self._store(zip(map(min, blocks), blocks), block_of, frozenset(block_of))
-
-    def _store(self, keyed, block_of, universe):
-        """Order the blocks by their least atom.  ``keyed`` holds (least atom,
-        block) pairs; disjoint blocks have distinct minima."""
-        keyed = sorted(keyed, key=itemgetter(0))
-        object.__setattr__(self, "blocks", tuple(map(itemgetter(1), keyed)))
-        object.__setattr__(self, "_minima", tuple(map(itemgetter(0), keyed)))
+        # disjoint blocks have distinct minima, so this is the order of key=sorted
+        object.__setattr__(self, "blocks", tuple(sorted(blocks, key=min)))
         object.__setattr__(self, "_block_of", block_of)
-        object.__setattr__(self, "_universe", universe)
+        object.__setattr__(self, "_universe", frozenset(block_of))
 
-    def _split(self, kept, new) -> SigmaAlgebra | None:
-        """The partition made of ``kept``, some of this partition's own block
-        objects, and the frozensets ``new``; None unless the new blocks are
+    def _split(self, blocks) -> SigmaAlgebra | None:
+        """The partition into ``blocks``, derived from this one, or None if
+        it is not a refinement that splits some of this partition's blocks.
+        A block that is one of this partition's own objects is kept; the
+        others are new, and the check runs on them alone: they must be
         nonempty, pairwise disjoint, each inside one block that is not kept,
-        and together cover every block that is not kept.  Then the result
-        partitions the same universe and refines this partition.  It shares
-        the kept blocks and the universe, and its atom table is this one's,
-        copied and updated on the new blocks' atoms only: O(blocks + atoms
-        of the new blocks).  With no new block it is this partition."""
-        table = self._block_of
-        kept_ids = set(map(id, kept))
-        if len(kept_ids) != len(kept):
+        and together cover every block that is not kept.  The result shares
+        the kept blocks and the universe.  Its atom table is this one's,
+        copied and then updated on the new blocks' atoms, and its blocks are
+        sorted by least atom again: these two steps still cost O(atoms).
+        With no new block it is this partition."""
+        own = set(map(id, self.blocks))
+        kept = {id(b) for b in blocks if id(b) in own}
+        new = [b for b in blocks if id(b) not in own]
+        if len(kept) + len(new) != len(blocks):  # a kept block written twice
             return None
+        table = self._block_of
         replaced = {}
         for block in new:
             owner = table.get(next(iter(block))) if block else None
-            if owner is None or id(owner) in kept_ids or not block <= owner:
+            if owner is None or id(owner) in kept or not block <= owner:
                 return None
             replaced[id(owner)] = owner
         size = sum(map(len, replaced.values()))
@@ -167,9 +164,10 @@ class SigmaAlgebra:
         block_of = dict(table)
         for block in new:
             block_of.update(dict.fromkeys(block, block))
-        still = compress(zip(self._minima, self.blocks), map(kept_ids.__contains__, map(id, self.blocks)))
-        out = SigmaAlgebra.__new__(SigmaAlgebra)
-        out._store(chain(still, zip(map(min, new), new)), block_of, self._universe)
+        out = object.__new__(SigmaAlgebra)
+        object.__setattr__(out, "blocks", tuple(sorted(blocks, key=min)))
+        object.__setattr__(out, "_block_of", block_of)
+        object.__setattr__(out, "_universe", self._universe)
         return out
 
     @property

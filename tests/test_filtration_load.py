@@ -4,7 +4,7 @@ is that step's frozenset, and only the other blocks are built and checked.
 These tests hold it to the per-partition check (a plain ``SigmaAlgebra``
 per step, then ``_filtration_faults``) on refining chains from
 ``tests/gen.py`` and on mutated ones, and guard the sharing and the memory
-it buys on a large seeded filtration.  The bulk checks of time values are
+it buys on a large seeded filtration.  The checks of time values are
 pinned to their per-value messages."""
 
 import copy
