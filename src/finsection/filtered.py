@@ -376,7 +376,7 @@ def classify_time(tau: RandomTime, X: FilteredSpace) -> TimeClassification:
         hit = levels.get(k)
         if not hit:
             continue
-        for block in X.lookback(k).blocks:
-            if block & hit:
-                cover.append(restrict(constant_time(X.atoms, k), block))
+        # the blocks meeting the level set, in ``blocks`` order (by least atom)
+        for block in sorted(set(map(X.lookback(k)._block_of.__getitem__, hit)), key=min):
+            cover.append(RandomTime({**dict.fromkeys(X.atoms, INF), **dict.fromkeys(block, k)}))
     return TimeClassification(tuple(cover), restrict(tau, frozenset()), tau)

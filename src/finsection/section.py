@@ -2,12 +2,16 @@
 
 Two routes produce a section time for a predictable set: the direct debut
 (exact on finite models, used as the oracle) and the scheme route, which
-rebuilds the set as a monotone Souslin scheme over slice-major cell masks,
-picks each index coordinate as the least branch whose envelope's projected
-outer measure clears the epsilon threshold, and returns the debut of the
-chosen branch intersection.  Optional and accessible sections reduce to the
-predictable case through the largest-predictable-subset decomposition,
-splitting the epsilon budget evenly between the two halves.
+reads the set as a monotone Souslin scheme, picks each index coordinate as
+the least branch whose envelope's projected outer measure clears target -
+eps, and returns the debut of the chosen branch.  On the set's cumulative
+scheme (C_c the union of its first c nonempty slices, the node at a key
+C_min(key)) this has a closed form: depth 0 picks the least k* whose C_k*
+clears, and at each later depth the node C_min(k*, c) fails for c < k* and
+is C_k* for c >= k*, so k* is picked again.  Optional and accessible
+sections reduce to the predictable case through the largest-predictable-
+subset decomposition, splitting the epsilon budget evenly between the two
+halves; the thin remainder is read as (index, atoms) slices.
 """
 
 from __future__ import annotations
@@ -22,15 +26,13 @@ from .filtered import (
     FilteredSpace,
     RandomTime,
     StochasticSet,
-    combine_min,
     constant_time,
     debut,
-    infinite_time,
     interval,
     is_set_of_kind,
     restrict,
 )
-from .measure import discrete_sigma, outer_measure
+from .measure import discrete_sigma, measurable_cover, outer_measure
 from .souslin import CumulativeNodes, Paving, SouslinScheme, check_monotone, empty_scheme
 
 __all__ = [
@@ -116,10 +118,6 @@ def _normalize_strategy(strategy: str) -> str:
     raise ValueError(f"unknown section strategy {strategy!r}")
 
 
-class _NotPredictable(ValueError):
-    """A set refused by the scheme route for its kind."""
-
-
 def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> IntervalUnion:
     """Realize a predictable set as a union of one closed interval per
     nonempty slice: the left endpoint is the slice-restricted constant
@@ -127,7 +125,7 @@ def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> Interv
     the right endpoint the same constant, so each interval is exactly the
     slice's row of cells."""
     if not is_set_of_kind(P_set, X, "predictable"):
-        raise _NotPredictable("interval representation needs a predictable set")
+        raise ValueError("interval representation needs a predictable set")
     pairs = []
     realized = StochasticSet.empty()
     for k, slice_k in P_set.slices:
@@ -153,7 +151,7 @@ def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinSche
     from the r cumulative masks, not stored.
     """
     if not is_set_of_kind(P_set, X, "predictable"):
-        raise _NotPredictable("interval representation needs a predictable set")
+        raise ValueError("interval representation needs a predictable set")
     n = len(X.atoms)
     bit = {atom: 1 << i for i, atom in enumerate(X.atoms)}
     # slice k's atom mask goes to chunk k; disjoint chunks make sums unions
@@ -212,16 +210,12 @@ def section_from_scheme(scheme: SouslinScheme, X: FilteredSpace, eps) -> Section
     for mask in set(values) | {scheme.paving.full_mask}:
         if not is_set_of_kind(_mask_to_set(X, mask), X, "predictable"):
             raise ValueError("scheme values must be predictable sets")
-    target = _mask_to_set(X, scheme.node((scheme.branching,) * scheme.depth))
-    return _souslin_section(scheme, X, eps, target)
-
-
-def _souslin_section(scheme, X, eps, target) -> SectionResult:
-    target_outer = _outer(X, projection(target))
+    target = projection(_mask_to_set(X, scheme.node((scheme.branching,) * scheme.depth)))
+    target_outer = _outer(X, target)
     prefix, measures, chosen = _souslin_sweep(scheme, X, eps, target_outer)
     time = debut(chosen, X)
     deficit = target_outer - X.space.prob(time.finite_support())
-    oracle = target_outer - X.space.prob(projection(target))
+    oracle = target_outer - X.space.prob(target)
     return SectionResult(time, deficit, STRATEGY_SOUSLIN, SectionTrace(prefix, measures, oracle))
 
 
@@ -230,24 +224,38 @@ def predictable_section(P_set: StochasticSet, X: FilteredSpace, eps, strategy=ST
     probability is within eps of the projection's outer measure.
 
     The debut strategy returns the first-entry time, exact on a finite
-    grid; the scheme strategy follows the monotone-scheme envelope sweep
-    and honors the eps budget through its early stop.
+    grid.  The scheme strategy returns the sweep's result on the set's
+    cumulative scheme in its closed form (module docstring): the debut of
+    the first k* slices and the trace (k*,) * r, every envelope measure
+    that of C_k*.  The prefix measures grow slice by slice, a block of the
+    last partition added when an atom of it first shows up, up to k*.
     """
     eps = _check_epsilon(eps)
     strategy = _normalize_strategy(strategy)
-    refused = "predictable_section needs a predictable set"
+    if not is_set_of_kind(P_set, X, "predictable"):
+        raise ValueError("predictable_section needs a predictable set")
+    target = projection(P_set)
+    target_outer = _outer(X, target)
+    prob = X.space.prob
     if strategy == STRATEGY_DEBUT:
-        if not is_set_of_kind(P_set, X, "predictable"):
-            raise ValueError(refused)
         time = debut(P_set, X)
-        deficit = _outer(X, projection(P_set)) - X.space.prob(time.finite_support())
+        deficit = target_outer - prob(time.finite_support())
         return SectionResult(time, deficit, STRATEGY_DEBUT, SectionTrace((), (), deficit))
-    # the scheme build checks the kind
-    try:
-        scheme = build_monotone_scheme(P_set, X)
-    except _NotPredictable as exc:
-        raise ValueError(refused) from exc
-    return _souslin_section(scheme, X, eps, P_set)
+    last, covered, mass = X.filtration[-1], set(), Fraction(0)
+    k_star = 1  # the empty set keeps the empty scheme's trace
+    for k_star, (_, atoms) in enumerate(P_set.slices, 1):
+        new = atoms - covered
+        if new:
+            cover = measurable_cover(new, last)
+            covered |= cover
+            mass += prob(cover)
+        if mass >= target_outer - eps:
+            break
+    time = debut(StochasticSet.from_slices(dict(P_set.slices[:k_star])), X)
+    deficit = target_outer - prob(time.finite_support())
+    r = max(len(P_set.slices), 1)
+    trace = SectionTrace((k_star,) * r, (mass,) * r, target_outer - prob(target))
+    return SectionResult(time, deficit, STRATEGY_SOUSLIN, trace)
 
 
 def measurable_section(S: StochasticSet, space, grid) -> SectionResult:
@@ -272,22 +280,24 @@ def decompose_optional(O: StochasticSet, X: FilteredSpace) -> OptionalDecomposit
     """
     if not is_set_of_kind(O, X, "optional"):
         raise ValueError("decompose_optional needs an optional set")
-    return _decompose(O, X)
+    part, rests = _split_optional(O, X)
+    return OptionalDecomposition(part, tuple(restrict(constant_time(X.atoms, k), rest) for k, rest in rests))
 
 
-def _decompose(O: StochasticSet, X: FilteredSpace) -> OptionalDecomposition:
-    """decompose_optional on a set already known to be optional."""
+def _split_optional(O: StochasticSet, X: FilteredSpace) -> tuple:
+    """The largest predictable subset of a set already known to be optional,
+    and the (index, atoms) slices of the thin rest, in index order.  Slice
+    k keeps the lookback blocks inside it, found through the atom table."""
     predictable = {}
-    thin = []
+    rests = []
     for k, slice_k in O.slices:
-        lookback = X.lookback(k)
-        meeting = {lookback.block_of(a) for a in slice_k}
+        meeting = set(map(X.lookback(k)._block_of.__getitem__, slice_k))
         inside = frozenset().union(*(block for block in meeting if block <= slice_k))
         predictable[k] = inside
         rest = slice_k - inside
         if rest:
-            thin.append(restrict(constant_time(X.atoms, k), rest))
-    return OptionalDecomposition(StochasticSet.from_slices(predictable), tuple(thin))
+            rests.append((k, rest))
+    return StochasticSet.from_slices(predictable), rests
 
 
 def optional_section(O: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_SOUSLIN) -> SectionResult:
@@ -304,27 +314,34 @@ def optional_section(O: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_
 
 def _optional_section(O: StochasticSet, X: FilteredSpace, eps: Fraction, strategy: str) -> SectionResult:
     """optional_section on a set already known to be optional, with eps and
-    strategy already checked."""
-    part = _decompose(O, X)
+    strategy already checked.  The thin rests are taken in index order until
+    all but eps/2 of their projection is covered; each atom keeps the first
+    index that covers it, and the time is the minimum with the inner one."""
+    part, rests = _split_optional(O, X)
     # The predictable part never leaves O, so the inner section's graph
     # already lies inside O.
-    inner = predictable_section(part.predictable_part, X, eps / 2, strategy)
+    inner = predictable_section(part, X, eps / 2, strategy)
 
-    remainder = O - part.predictable_part
-    remainder_mass = X.space.prob(projection(remainder))
-    chosen: list[RandomTime] = []
-    covered: frozenset = frozenset()
-    for t in part.thin_times:
-        if remainder_mass - X.space.prob(covered) <= eps / 2:
+    prob = X.space.prob
+    remainder_mass = prob(frozenset().union(*(rest for _, rest in rests)))
+    firsts: dict = {}
+    covered = Fraction(0)
+    for k, rest in rests:
+        if remainder_mass - covered <= eps / 2:
             break
-        chosen.append(t)
-        covered = covered | t.finite_support()
-    tau = combine_min(chosen) if chosen else infinite_time(X.atoms)
+        new = rest.difference(firsts)  # the atoms no earlier rest covers
+        firsts.update(dict.fromkeys(new, k))
+        covered += prob(new)
+    values = dict(inner.time.values)
+    for atom, k in firsts.items():
+        if k < values[atom]:
+            values[atom] = k
 
-    time = combine_min([inner.time, tau])
-    target_outer = _outer(X, projection(O))
-    deficit = target_outer - X.space.prob(time.finite_support())
-    oracle = target_outer - X.space.prob(projection(O))
+    time = RandomTime(values)
+    target = projection(O)
+    target_outer = _outer(X, target)
+    deficit = target_outer - prob(time.finite_support())
+    oracle = target_outer - prob(target)
     trace = SectionTrace(inner.trace.chosen_prefix, inner.trace.envelope_measures, oracle)
     return SectionResult(time, deficit, inner.strategy, trace)
 
