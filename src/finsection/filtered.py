@@ -1,8 +1,10 @@
 """Discrete time grids, filtrations, random times, and stochastic sets.
 
-Times map atoms to grid indices or infinity (``INF``).  The predictability
-criterion is the discrete one: the level set {tau <= t_k} must already be
-measurable one step earlier, with the t_0 level set measurable at t_0.
+Times map atoms to grid indices or infinity (``INF``).  A time is a
+stopping (predictable) time exactly when its graph is an optional
+(predictable) set, so the time predicates are :func:`is_set_of_kind` on the
+graph.  Predictability is the discrete criterion: {tau <= t_k} measurable
+one step earlier for k >= 1, and {tau = t_0} measurable at t_0.
 """
 
 from __future__ import annotations
@@ -128,25 +130,11 @@ class RandomTime:
                 raise ValueError(f"bad time value {v!r} for atom {atom!r}")
         object.__setattr__(self, "values", vals)
 
-    def value(self, atom):
-        return self.values[atom]
-
     def finite_support(self) -> frozenset:
         return frozenset(a for a, v in self.values.items() if v != INF)
 
-    def level_le(self, k: int) -> frozenset:
-        return frozenset(a for a, v in self.values.items() if v <= k)
-
     def level_eq(self, k: int) -> frozenset:
         return frozenset(a for a, v in self.values.items() if v == k)
-
-
-def _levels(tau: RandomTime) -> dict:
-    """Every level set {tau = v} in one pass over the atoms: value -> atoms."""
-    groups: dict = {}
-    for atom, v in tau.values.items():
-        groups.setdefault(v, []).append(atom)
-    return {v: frozenset(atoms) for v, atoms in groups.items()}
 
 
 def constant_time(atoms, k: int) -> RandomTime:
@@ -240,33 +228,34 @@ def is_stopping_time(tau: RandomTime, X: FilteredSpace) -> bool:
 
     The filtration refines, so once {tau <= t_(k-1)} is measurable at
     t_(k-1) it is at t_k too, and {tau <= t_k} is measurable at t_k exactly
-    when {tau = t_k} is.  The level sets are grouped in one pass, and each
-    atom is looked up once."""
+    when {tau = t_k}, slice k of the graph, is: the graph is optional."""
     _check_total(tau, X)
-    levels = _levels(tau)
-    return all(is_measurable(levels.get(k, ()), X.sigma_at(k)) for k in range(X.n_times))
+    return is_set_of_kind(graph(tau), X, "optional")
 
 
 def is_predictable_time(tau: RandomTime, X: FilteredSpace) -> bool:
     """Discrete predictability: {tau <= t_k} measurable one step earlier for
     k >= 1, and {tau = t_0} measurable at t_0.  As for stopping times, on a
     refining filtration this holds exactly when each {tau = t_k} is
-    measurable at the lookback index of k."""
+    measurable at the lookback index of k: the graph is predictable."""
     _check_total(tau, X)
-    levels = _levels(tau)
-    return all(is_measurable(levels.get(k, ()), X.lookback(k)) for k in range(X.n_times))
+    return is_set_of_kind(graph(tau), X, "predictable")
+
+
+def _check_cells(S: StochasticSet, X: FilteredSpace):
+    n, universe = X.n_times, X.atom_set
+    for k, atoms in S.slices:
+        outside = atoms - universe if 0 <= k < n else atoms
+        if outside:
+            raise ValueError(f"cell ({next(iter(outside))!r}, {k}) is outside the space")
 
 
 def debut(S: StochasticSet, X: FilteredSpace) -> RandomTime:
     """First entry time into the set per atom, infinity when never entered."""
+    _check_cells(S, X)
     firsts: dict = dict.fromkeys(X.atoms, INF)
-    n = X.n_times
     entered: set = set()
     for k, atoms in S.slices:
-        if not atoms <= X.atom_set:
-            raise ValueError(f"cell atom {next(iter(atoms - X.atom_set))!r} is not in the space")
-        if k < 0 or k >= n:
-            raise ValueError(f"cell index {k} is outside the grid")
         new = atoms - entered
         firsts.update(dict.fromkeys(new, k))
         entered |= new
@@ -349,12 +338,7 @@ def is_set_of_kind(S: StochasticSet, X: FilteredSpace, kind: str) -> bool:
     (index 0 at itself)."""
     if kind not in ("predictable", "optional"):
         raise ValueError(f"unknown stochastic set kind {kind!r}")
-    n, universe = X.n_times, X.atom_set
-    for k, atoms in S.slices:
-        in_grid = 0 <= k < n
-        if not (in_grid and atoms <= universe):
-            outside = atoms - universe if in_grid else atoms
-            raise ValueError(f"cell ({next(iter(outside))!r}, {k}) is outside the space")
+    _check_cells(S, X)
     sigma_for = X.sigma_at if kind == "optional" else X.lookback
     return all(is_measurable(atoms, sigma_for(k)) for k, atoms in S.slices)
 
@@ -368,14 +352,12 @@ def classify_time(tau: RandomTime, X: FilteredSpace) -> TimeClassification:
     predictable.  The totally inaccessible part is therefore the empty
     restriction, which meets every predictable time with probability zero.
     """
-    if not is_stopping_time(tau, X):
+    _check_total(tau, X)
+    G = graph(tau)
+    if not is_set_of_kind(G, X, "optional"):
         raise ValueError("classify_time needs a stopping time")
-    levels = _levels(tau)
     cover = []
-    for k in range(X.n_times):
-        hit = levels.get(k)
-        if not hit:
-            continue
+    for k, hit in G.slices:
         # the blocks meeting the level set, in ``blocks`` order (by least atom)
         for block in sorted(set(map(X.lookback(k)._block_of.__getitem__, hit)), key=min):
             cover.append(RandomTime({**dict.fromkeys(X.atoms, INF), **dict.fromkeys(block, k)}))

@@ -8,10 +8,11 @@ eps, and returns the debut of the chosen branch.  On the set's cumulative
 scheme (C_c the union of its first c nonempty slices, the node at a key
 C_min(key)) this has a closed form: depth 0 picks the least k* whose C_k*
 clears, and at each later depth the node C_min(k*, c) fails for c < k* and
-is C_k* for c >= k*, so k* is picked again.  Optional and accessible
-sections reduce to the predictable case through the largest-predictable-
-subset decomposition, splitting the epsilon budget evenly between the two
-halves; the thin remainder is read as (index, atoms) slices.
+is C_k* for c >= k*, so k* is picked again.  Each solver checks its input
+once, on entry: epsilon, strategy, then the set's kind.  Optional and
+accessible sections reduce to the unchecked predictable core through the
+largest-predictable-subset decomposition, splitting the epsilon budget
+evenly between the two halves; the thin remainder is read as slices.
 """
 
 from __future__ import annotations
@@ -110,12 +111,23 @@ def _check_epsilon(eps) -> Fraction:
     return eps
 
 
-def _normalize_strategy(strategy: str) -> str:
-    if strategy in ("debut", STRATEGY_DEBUT):
-        return STRATEGY_DEBUT
-    if strategy == STRATEGY_SOUSLIN:
-        return STRATEGY_SOUSLIN
-    raise ValueError(f"unknown section strategy {strategy!r}")
+def _checked(S: StochasticSet, X: FilteredSpace, eps, strategy, kind: str, message: str) -> tuple:
+    """The one input check of a section solver: epsilon, then strategy, then
+    the set's kind.  Returns eps as a Fraction and the strategy's name."""
+    eps = _check_epsilon(eps)
+    if strategy not in ("debut", STRATEGY_DEBUT, STRATEGY_SOUSLIN):
+        raise ValueError(f"unknown section strategy {strategy!r}")
+    if not is_set_of_kind(S, X, kind):
+        raise ValueError(message)
+    return eps, STRATEGY_DEBUT if strategy == "debut" else strategy
+
+
+def _report(X: FilteredSpace, target, target_outer, time, strategy, prefix=(), measures=()) -> SectionResult:
+    """The result for a time sectioning a set of projection ``target``: its
+    deficit, and the debut's, whose finite support is the projection."""
+    prob = X.space.prob
+    trace = SectionTrace(prefix, measures, target_outer - prob(target))
+    return SectionResult(time, target_outer - prob(time.finite_support()), strategy, trace)
 
 
 def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> IntervalUnion:
@@ -213,10 +225,7 @@ def section_from_scheme(scheme: SouslinScheme, X: FilteredSpace, eps) -> Section
     target = projection(_mask_to_set(X, scheme.node((scheme.branching,) * scheme.depth)))
     target_outer = _outer(X, target)
     prefix, measures, chosen = _souslin_sweep(scheme, X, eps, target_outer)
-    time = debut(chosen, X)
-    deficit = target_outer - X.space.prob(time.finite_support())
-    oracle = target_outer - X.space.prob(target)
-    return SectionResult(time, deficit, STRATEGY_SOUSLIN, SectionTrace(prefix, measures, oracle))
+    return _report(X, target, target_outer, debut(chosen, X), STRATEGY_SOUSLIN, prefix, measures)
 
 
 def predictable_section(P_set: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_SOUSLIN) -> SectionResult:
@@ -230,17 +239,16 @@ def predictable_section(P_set: StochasticSet, X: FilteredSpace, eps, strategy=ST
     that of C_k*.  The prefix measures grow slice by slice, a block of the
     last partition added when an atom of it first shows up, up to k*.
     """
-    eps = _check_epsilon(eps)
-    strategy = _normalize_strategy(strategy)
-    if not is_set_of_kind(P_set, X, "predictable"):
-        raise ValueError("predictable_section needs a predictable set")
+    eps, strategy = _checked(P_set, X, eps, strategy, "predictable", "predictable_section needs a predictable set")
+    return _predictable_section(P_set, X, eps, strategy)
+
+
+def _predictable_section(P_set: StochasticSet, X: FilteredSpace, eps: Fraction, strategy: str) -> SectionResult:
+    """predictable_section on a set known to be predictable, eps and strategy checked."""
     target = projection(P_set)
     target_outer = _outer(X, target)
-    prob = X.space.prob
     if strategy == STRATEGY_DEBUT:
-        time = debut(P_set, X)
-        deficit = target_outer - prob(time.finite_support())
-        return SectionResult(time, deficit, STRATEGY_DEBUT, SectionTrace((), (), deficit))
+        return _report(X, target, target_outer, debut(P_set, X), STRATEGY_DEBUT)
     last, covered, mass = X.filtration[-1], set(), Fraction(0)
     k_star = 1  # the empty set keeps the empty scheme's trace
     for k_star, (_, atoms) in enumerate(P_set.slices, 1):
@@ -248,14 +256,12 @@ def predictable_section(P_set: StochasticSet, X: FilteredSpace, eps, strategy=ST
         if new:
             cover = measurable_cover(new, last)
             covered |= cover
-            mass += prob(cover)
+            mass += X.space.prob(cover)
         if mass >= target_outer - eps:
             break
     time = debut(StochasticSet.from_slices(dict(P_set.slices[:k_star])), X)
-    deficit = target_outer - prob(time.finite_support())
     r = max(len(P_set.slices), 1)
-    trace = SectionTrace((k_star,) * r, (mass,) * r, target_outer - prob(target))
-    return SectionResult(time, deficit, STRATEGY_SOUSLIN, trace)
+    return _report(X, target, target_outer, time, STRATEGY_SOUSLIN, (k_star,) * r, (mass,) * r)
 
 
 def measurable_section(S: StochasticSet, space, grid) -> SectionResult:
@@ -305,10 +311,7 @@ def optional_section(O: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_
     eps, assembled from a predictable section of the largest predictable
     subset at eps/2 and a prefix of the thin remainder times covering all
     but eps/2 of the leftover projection mass."""
-    eps = _check_epsilon(eps)
-    strategy = _normalize_strategy(strategy)
-    if not is_set_of_kind(O, X, "optional"):
-        raise ValueError("optional_section needs an optional set")
+    eps, strategy = _checked(O, X, eps, strategy, "optional", "optional_section needs an optional set")
     return _optional_section(O, X, eps, strategy)
 
 
@@ -318,9 +321,9 @@ def _optional_section(O: StochasticSet, X: FilteredSpace, eps: Fraction, strateg
     all but eps/2 of their projection is covered; each atom keeps the first
     index that covers it, and the time is the minimum with the inner one."""
     part, rests = _split_optional(O, X)
-    # The predictable part never leaves O, so the inner section's graph
-    # already lies inside O.
-    inner = predictable_section(part, X, eps / 2, strategy)
+    # The predictable part is predictable by construction and never leaves
+    # O, so the inner section needs no check and its graph lies inside O.
+    inner = _predictable_section(part, X, eps / 2, strategy)
 
     prob = X.space.prob
     remainder_mass = prob(frozenset().union(*(rest for _, rest in rests)))
@@ -333,17 +336,10 @@ def _optional_section(O: StochasticSet, X: FilteredSpace, eps: Fraction, strateg
         firsts.update(dict.fromkeys(new, k))
         covered += prob(new)
     values = dict(inner.time.values)
-    for atom, k in firsts.items():
-        if k < values[atom]:
-            values[atom] = k
+    values.update({atom: k for atom, k in firsts.items() if k < values[atom]})
 
-    time = RandomTime(values)
-    target = projection(O)
-    target_outer = _outer(X, target)
-    deficit = target_outer - prob(time.finite_support())
-    oracle = target_outer - prob(target)
-    trace = SectionTrace(inner.trace.chosen_prefix, inner.trace.envelope_measures, oracle)
-    return SectionResult(time, deficit, inner.strategy, trace)
+    target, trace = projection(O), inner.trace
+    return _report(X, target, _outer(X, target), RandomTime(values), strategy, trace.chosen_prefix, trace.envelope_measures)
 
 
 def accessible_section(A_set: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_SOUSLIN) -> SectionResult:
@@ -353,6 +349,5 @@ def accessible_section(A_set: StochasticSet, X: FilteredSpace, eps, strategy=STR
     sigma-algebra coincides with the optional one and the optional
     construction already returns an accessible time.
     """
-    if not is_set_of_kind(A_set, X, "optional"):
-        raise ValueError("accessible_section needs an optional set")
-    return _optional_section(A_set, X, _check_epsilon(eps), _normalize_strategy(strategy))
+    eps, strategy = _checked(A_set, X, eps, strategy, "optional", "accessible_section needs an optional set")
+    return _optional_section(A_set, X, eps, strategy)

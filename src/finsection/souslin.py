@@ -35,6 +35,9 @@ __all__ = [
     "scheme_to_literal",
 ]
 
+# the most nodes (Σ branching^l, l = 1..depth) a merge or monotonize builds
+_NODE_BUDGET = 1 << 20
+
 
 def theta(k: int, m: int) -> int:
     """Square-shell pairing bijection on pairs of positive integers.
@@ -284,6 +287,11 @@ def eval_scheme(s: SouslinScheme) -> frozenset:
     return s.paving.set_of(_eval_mask(s))
 
 
+def _check_budget(name: str, depth: int, branching: int):
+    if any(size > _NODE_BUDGET for size in accumulate(branching**length for length in range(1, depth + 1))):
+        raise ValueError(f"{name}: a depth {depth} x branching {branching} scheme has over {_NODE_BUDGET} nodes")
+
+
 def _shared_paving(schemes, paving):
     if schemes:
         first = schemes[0].paving
@@ -344,6 +352,7 @@ def merge_union(schemes, paving: Paving | None = None) -> SouslinScheme:
     count = len(schemes)
     depth = max(s.depth for s in schemes)
     branching = max(theta(s.branching, m) for m, s in enumerate(schemes, start=1))
+    _check_budget("merge_union", depth, branching)
     full = paving.full_mask
     skip = (None,) * branching
     nodes = {}
@@ -382,6 +391,7 @@ def merge_intersection(schemes, paving: Paving | None = None) -> SouslinScheme:
     count = len(schemes)
     branching = max(s.branching for s in schemes)
     depth = max(theta(s.depth, m) for m, s in enumerate(schemes, start=1))
+    _check_budget("merge_intersection", depth, branching)
     full = paving.full_mask
     skip = (None,) * branching
     nodes = {}
@@ -414,6 +424,7 @@ def monotonize(s: SouslinScheme) -> SouslinScheme:
     tables are filled from the longest prefixes up, l + 1 tables of b^l
     masks, so the rebuild costs the sum of l * b^l mask operations.
     """
+    _check_budget("monotonize", s.depth, s.branching)
     if not s.paving.closed_under_finite_ops():
         raise ValueError("monotonize requires a union/intersection-closed paving")
     full = s.paving.full_mask

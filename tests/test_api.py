@@ -1,8 +1,10 @@
 """Guards on the public names: the package exports exactly its four layer
-modules' ``__all__`` lists, and the benchmark's span tracer still finds
+modules' ``__all__`` lists, the README's library overview names each of
+them in its module's row, and the benchmark's span tracer still finds
 every callable it wraps (it raises ValueError on a name that is gone, which
 would break ``bench/run.py --trace 1``)."""
 
+import re
 import sys
 from pathlib import Path
 
@@ -25,6 +27,17 @@ def test_package_exports_exactly_the_layer_names():
     for layer in LAYERS:
         for name in layer.__all__:
             assert getattr(finsection, name) is getattr(layer, name), name
+
+
+def test_readme_overview_row_names_every_layer_export():
+    rows = {}
+    for line in (ROOT / "README.md").read_text().splitlines():
+        if match := re.match(r"\| `(finsection\.\w+)` \|", line):
+            rows[match[1]] = line
+    for layer in LAYERS:
+        row = rows[layer.__name__]
+        missing = [name for name in layer.__all__ if not re.search(rf"\b{name}\b", row)]
+        assert not missing, f"{layer.__name__} row misses {missing}"
 
 
 def test_bench_tracer_finds_every_traced_callable():

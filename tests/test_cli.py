@@ -241,6 +241,30 @@ def test_souslin_eval_on_a_wide_sparse_literal_within_budget(capsys, tmp_path):
     assert elapsed < 1.0, f"took {elapsed:.2f}s (budget 1s)"
 
 
+@pytest.mark.parametrize(
+    "operation, depth, branching, refused",
+    [
+        # Σ 8^l over l = 1..7 is 2,396,744 nodes
+        ("monotonize", 7, 8, "monotonize: a depth 7 x branching 8"),
+        # two 5 x 6 schemes merge at branching theta(6, 2) = 27: Σ 27^l over l = 1..5
+        ("union", 5, 6, "merge_union: a depth 5 x branching 27"),
+    ],
+)
+def test_souslin_builds_over_the_node_budget_are_refused_at_once(capsys, tmp_path, operation, depth, branching, refused):
+    scheme = {"ground_set": ["a", "b"], "paving": [["a"], ["a", "b"]], "depth": depth, "branching": branching}
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["schemes"] = {"S": {**scheme, "nodes": {"1": ["a"]}}, "T": {**scheme, "nodes": {"2": ["a"]}}}
+    path = write_document(tmp_path, doc)
+    assert run_json(capsys, ["validate", path])["status"] == "ok"
+    schemes = ["--scheme", "S", "--scheme", "T"] if operation == "union" else ["--scheme", "S"]
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["souslin", operation, *schemes, path])
+    elapsed = time.perf_counter() - t0
+    assert (code, out) == (4, "")
+    assert err == f"precondition failure: {refused} scheme has over 1048576 nodes\n"
+    assert elapsed < 0.5, f"took {elapsed:.2f}s (budget 0.5s)"
+
+
 def test_souslin_eval_rejects_multiple_schemes(capsys):
     code, _, _ = run_cli(capsys, ["souslin", "eval", "--scheme", "A", "--scheme", "B", FIX_B])
     assert code == 4

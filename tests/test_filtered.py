@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -101,6 +102,33 @@ def test_predictable_implies_stopping():
         rho = random_predictable_time(rng, X)
         assert is_predictable_time(rho, X)
         assert is_stopping_time(rho, X)
+
+
+def test_time_predicates_equal_their_level_set_definition_exhaustive():
+    # every total time, stopping or not, against the definition read off
+    # plain frozensets: {tau <= t_k} a union of blocks of F_k (stopping), or
+    # of F_(k-1) for k >= 1 with {tau = t_0} a union of blocks of F_0
+    def union_of_blocks(A, partition):
+        return all(block <= A or not block & A for block in partition.blocks)
+
+    spaces = times = 0
+    outcomes = set()
+    for X in gen.exhaustive_spaces(3, 3):
+        spaces += 1
+        n, parts = X.n_times, X.filtration
+        for values in itertools.product([*range(n), INF], repeat=len(X.atoms)):
+            times += 1
+            tau = RandomTime(dict(zip(X.atoms, values)))
+            le = [frozenset(a for a, v in zip(X.atoms, values) if v <= k) for k in range(n)]
+            stopping = all(union_of_blocks(le[k], parts[k]) for k in range(n))
+            predictable = union_of_blocks(le[0], parts[0]) and all(
+                union_of_blocks(le[k], parts[k - 1]) for k in range(1, n)
+            )
+            assert is_stopping_time(tau, X) == stopping, (X, values)
+            assert is_predictable_time(tau, X) == predictable, (X, values)
+            outcomes.add((stopping, predictable))
+    assert (spaces, times) == (51, 1880)
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 # ------------------------------------------------------------------ debut

@@ -579,15 +579,12 @@ def test_each_public_entry_checks_its_set_once(monkeypatch, strategy):
     monkeypatch.setattr(section_module, "is_set_of_kind", counting)
     X = fix_b()
     O = StochasticSet(frozenset({("w1", 1), ("w2", 1), ("w3", 2), ("w4", 2)}))
-    part = decompose_optional(O, X)
+    decompose_optional(O, X)
     assert calls == [(O, "optional")]
     for entry in (optional_section, accessible_section):
         calls.clear()
         entry(O, X, Fraction(0), strategy)
-        assert [kind for S, kind in calls if S is O] == ["optional"]
-        assert {(S, kind) for S, kind in calls if S is not O} == {(part.predictable_part, "predictable")}
-        if strategy == "debut":
-            assert len(calls) == 2
+        assert calls == [(O, "optional")]
 
 
 @pytest.mark.parametrize("strategy", ["debut", "souslin"])

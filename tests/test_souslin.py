@@ -294,6 +294,19 @@ def test_monotonize_rejects_unclosed_paving():
         monotonize(s)
 
 
+def test_merges_and_monotonize_stop_at_the_node_budget():
+    # a result of more than 2^20 nodes (Σ b^l over l = 1..d) is refused up front
+    paving = all_subsets_paving(GROUND3)
+    with pytest.raises(ValueError, match="monotonize: a depth 7 x branching 8 scheme has over 1048576 nodes"):
+        monotonize(make_scheme(paving, 7, 8, {(1,): ["1"]}))
+    s = make_scheme(paving, 6, 8, {(1,): ["1"]})  # Σ 8^l over l <= 6 is 299,592
+    # the merges' bounds: depth theta(6, 2) = 27, branching theta(8, 2) = 51
+    with pytest.raises(ValueError, match="merge_intersection: a depth 27 x branching 8 "):
+        merge_intersection([s, s])
+    with pytest.raises(ValueError, match="merge_union: a depth 6 x branching 51 "):
+        merge_union([s, s])
+
+
 # ---------------------------------------------------------- check_monotone
 
 def test_constant_scheme_is_monotone():
