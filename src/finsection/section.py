@@ -21,7 +21,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, compress
+from itertools import accumulate, compress, product
 
 from .filtered import (
     FilteredSpace,
@@ -29,12 +29,11 @@ from .filtered import (
     StochasticSet,
     constant_time,
     debut,
-    interval,
     is_set_of_kind,
     restrict,
 )
 from .measure import discrete_sigma, measurable_cover, outer_measure
-from .souslin import CumulativeNodes, Paving, SouslinScheme, check_monotone, empty_scheme
+from .souslin import Paving, SouslinScheme, _check_budget, check_monotone, empty_scheme
 
 __all__ = [
     "STRATEGY_DEBUT",
@@ -135,17 +134,13 @@ def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> Interv
     nonempty slice: the left endpoint is the slice-restricted constant
     time (predictable because the slice is measurable one step back) and
     the right endpoint the same constant, so each interval is exactly the
-    slice's row of cells."""
+    slice's row of cells and their union is the set itself."""
     if not is_set_of_kind(P_set, X, "predictable"):
         raise ValueError("interval representation needs a predictable set")
-    pairs = []
-    realized = StochasticSet.empty()
-    for k, slice_k in P_set.slices:
-        left = restrict(constant_time(X.atoms, k), slice_k)
-        right = constant_time(X.atoms, k)
-        pairs.append((left, right))
-        realized = realized | interval(left, right, X)
-    return IntervalUnion(tuple(pairs), realized)
+    pairs = tuple(
+        (restrict(constant_time(X.atoms, k), slice_k), constant_time(X.atoms, k)) for k, slice_k in P_set.slices
+    )
+    return IntervalUnion(pairs, P_set)
 
 
 def _cell_ground(X: FilteredSpace) -> tuple:
@@ -159,18 +154,23 @@ def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinSche
     With r nonempty slices the scheme has depth and branching r, and the
     node at an index tuple is the cumulative union of the first
     min(tuple) slices; evaluation recovers the full set while every node
-    stays an interval-realizable predictable set.  The nodes are computed
-    from the r cumulative masks, not stored.
+    stays an interval-realizable predictable set.  All Σ r^l nodes are
+    stored, so r is refused up front past the scheme ops' entry budget.
     """
     if not is_set_of_kind(P_set, X, "predictable"):
         raise ValueError("interval representation needs a predictable set")
+    r = len(P_set.slices)
+    _check_budget("build_monotone_scheme", r, r)
     n = len(X.atoms)
     bit = {atom: 1 << i for i, atom in enumerate(X.atoms)}
     # slice k's atom mask goes to chunk k; disjoint chunks make sums unions
     cumulative = list(accumulate(sum(map(bit.__getitem__, atoms)) << k * n for k, atoms in P_set.slices))
     paving = Paving(_cell_ground(X), (0, *cumulative))
-    r = len(cumulative)
-    return SouslinScheme(paving, r, r, CumulativeNodes(cumulative)) if r else empty_scheme(paving)
+    if not r:
+        return empty_scheme(paving)
+    entries = range(1, r + 1)
+    nodes = {key: cumulative[min(key) - 1] for length in entries for key in product(entries, repeat=length)}
+    return SouslinScheme(paving, r, r, nodes)
 
 
 def _mask_to_set(X: FilteredSpace, mask: int) -> StochasticSet:
@@ -211,15 +211,13 @@ def _souslin_sweep(scheme: SouslinScheme, X: FilteredSpace, eps: Fraction, targe
 def section_from_scheme(scheme: SouslinScheme, X: FilteredSpace, eps) -> SectionResult:
     """Run the scheme route on a caller-supplied monotone scheme whose node
     values are predictable sets over the cells of the space, listed
-    slice-major in its ground: (atoms[i], k) at position k*n + i.  A
-    computed scheme is checked from its r masks, so any r is taken."""
+    slice-major in its ground: (atoms[i], k) at position k*n + i."""
     eps = _check_epsilon(eps)
     if scheme.paving.ground != _cell_ground(X):
         raise ValueError("scheme ground set must be the atoms x grid cells of the space")
     if check_monotone(scheme) != (True, True):
         raise ValueError("section_from_scheme needs a monotone scheme")
-    values = scheme.nodes.masks if isinstance(scheme.nodes, CumulativeNodes) else scheme.nodes.values()
-    for mask in set(values) | {scheme.paving.full_mask}:
+    for mask in set(scheme.nodes.values()) | {scheme.paving.full_mask}:
         if not is_set_of_kind(_mask_to_set(X, mask), X, "predictable"):
             raise ValueError("scheme values must be predictable sets")
     target = projection(_mask_to_set(X, scheme.node((scheme.branching,) * scheme.depth)))

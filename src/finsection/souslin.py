@@ -13,15 +13,12 @@ keeps every equality test exact.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, product, repeat
 from math import isqrt
-from operator import or_
 
 __all__ = [
     "Paving",
-    "CumulativeNodes",
     "SouslinScheme",
     "theta",
     "theta_inv",
@@ -35,8 +32,9 @@ __all__ = [
     "scheme_to_literal",
 ]
 
-# the most nodes (Σ branching^l, l = 1..depth) a merge or monotonize builds
-_NODE_BUDGET = 1 << 20
+# the most index entries (Σ l * branching^l, l = 1..depth) a merge or
+# monotonize writes: what its result stores and its literal prints
+_ENTRY_BUDGET = 1 << 21
 
 
 def theta(k: int, m: int) -> int:
@@ -143,73 +141,38 @@ def _elements(ground, mask) -> list:
     return [e for e, bit in zip(ground, bin(mask)[:1:-1]) if bit == "1"]
 
 
-class CumulativeNodes(Mapping):
-    """Read-only node map of a cumulative scheme, computed from its masks.
-
-    With r masks the keys are every index tuple of length 1..r with entries
-    in 1..r, and the node at a key is ``masks[min(key) - 1]``.  It reads
-    exactly like the dict of those Σ r^l entries, but nothing is stored
-    beyond the r masks: keys are enumerated lazily and counted
-    arithmetically (so ``len`` overflows past r = 15, where the count
-    exceeds ``sys.maxsize``).
-    """
-
-    def __init__(self, masks):
-        self.masks = tuple(masks)
-
-    def __getitem__(self, key):
-        r = len(self.masks)
-        if not 1 <= len(key) <= r or min(key) < 1 or max(key) > r:
-            raise KeyError(key)
-        return self.masks[min(key) - 1]
-
-    def __iter__(self):
-        r = len(self.masks)
-        for length in range(1, r + 1):
-            yield from product(range(1, r + 1), repeat=length)
-
-    def __len__(self):
-        r = len(self.masks)
-        return sum(r**length for length in range(1, r + 1))
-
-
 @dataclass(frozen=True, eq=False)
 class SouslinScheme:
     """Finitely generated Souslin scheme.
 
     ``nodes`` maps index tuples within the (depth, branching) bounds to
     masks; missing in-bounds indices default to the full ground set, the
-    internal top value.  It is a dict of stored entries, or a
-    :class:`CumulativeNodes` that computes them.  The empty mask is
-    admitted as an internal bottom (it backs the degenerate empty scheme).
+    internal top value.  The empty mask is admitted as an internal bottom
+    (it backs the degenerate empty scheme).  The scan that validates the
+    keys also keeps the longest key and the largest entry, which bound the
+    walk of :func:`eval_scheme`.
     """
 
     paving: Paving
     depth: int
     branching: int
-    nodes: Mapping
+    nodes: dict
 
     def __post_init__(self):
         if self.depth < 1 or self.branching < 1:
             raise ValueError("depth and branching bounds must be positive")
-        allowed = self.paving._node_values
-        if isinstance(self.nodes, CumulativeNodes):
-            # the keys lie in 1..r by construction, so the bounds and the r
-            # masks cover every entry
-            r = len(self.nodes.masks)
-            if r > self.depth or r > self.branching:
-                raise ValueError(f"cumulative nodes over {r} masks violate the scheme bounds")
-            if not allowed.issuperset(self.nodes.masks):
-                raise ValueError("cumulative node value is not a paving member")
-            return
         nodes = dict(self.nodes)
+        entries = set(chain.from_iterable(nodes))
+        longest, top = max(map(len, nodes), default=0), max(entries, default=0)
         object.__setattr__(self, "nodes", nodes)
-        if not nodes or (
+        object.__setattr__(self, "_longest", longest)
+        object.__setattr__(self, "_top", top)
+        if (
             all(nodes)
-            and max(map(len, nodes)) <= self.depth
-            and min(entries := set(chain.from_iterable(nodes))) >= 1
-            and max(entries) <= self.branching
-            and allowed.issuperset(nodes.values())
+            and longest <= self.depth
+            and min(entries, default=1) >= 1
+            and top <= self.branching
+            and self.paving._node_values.issuperset(nodes.values())
         ):
             return
         # some entry is bad: name the first one
@@ -218,7 +181,7 @@ class SouslinScheme:
                 raise ValueError(f"stored index {index!r} violates the depth bound")
             if any(e < 1 or e > self.branching for e in index):
                 raise ValueError(f"stored index {index!r} violates the branching bound")
-            if mask not in allowed:
+            if mask not in self.paving._node_values:
                 raise ValueError(f"value at {index!r} is not a paving member")
 
     def node(self, index) -> int:
@@ -255,10 +218,15 @@ def _eval_mask(s: SouslinScheme) -> int:
     ``running[k]`` is the intersection along ``index[:k]``, computed once
     and extended to each child.  A subtree whose running intersection is
     already inside the result cannot add to it and is skipped; the walk
-    stops once the result is the full set.
+    stops once the result is the full set.  Every node past the longest
+    stored key reads full, so the walk ends at that length; so does every
+    node whose key holds an entry above the largest stored one, so the
+    next entry up stands for all of them.
     """
     full = s.paving.full_mask
-    depth, branching = s.depth, s.branching
+    depth = max(1, min(s.depth, s._longest))
+    branching = min(s.branching, s._top + 1)
+    get = s.nodes.get
     result = 0
     index = [0]
     running = [full]
@@ -268,7 +236,7 @@ def _eval_mask(s: SouslinScheme) -> int:
             index.pop()
             running.pop()
             continue
-        cur = running[-1] & s.node(tuple(index))
+        cur = running[-1] & get(tuple(index), full)
         if not cur & ~result:
             continue
         if len(index) == depth:
@@ -288,8 +256,9 @@ def eval_scheme(s: SouslinScheme) -> frozenset:
 
 
 def _check_budget(name: str, depth: int, branching: int):
-    if any(size > _NODE_BUDGET for size in accumulate(branching**length for length in range(1, depth + 1))):
-        raise ValueError(f"{name}: a depth {depth} x branching {branching} scheme has over {_NODE_BUDGET} nodes")
+    sizes = accumulate(length * branching**length for length in range(1, depth + 1))
+    if any(size > _ENTRY_BUDGET for size in sizes):
+        raise ValueError(f"{name}: a depth {depth} x branching {branching} scheme has over {_ENTRY_BUDGET} index entries")
 
 
 def _shared_paving(schemes, paving):
@@ -429,7 +398,9 @@ def monotonize(s: SouslinScheme) -> SouslinScheme:
         raise ValueError("monotonize requires a union/intersection-closed paving")
     full = s.paving.full_mask
     b = s.branching
-    get = s.nodes.get
+    # levels[j]: the masks at every index of length j + 1, in product order,
+    # read once for all the lengths that need them
+    levels = [list(map(s.nodes.get, product(range(1, b + 1), repeat=j + 1), repeat(full))) for j in range(s.depth)]
     nodes = {}
     for length in range(1, s.depth + 1):
         # T over (prefix of length j, bound of length `length` - j), flat in
@@ -438,8 +409,7 @@ def monotonize(s: SouslinScheme) -> SouslinScheme:
         for j in range(length - 1, -1, -1):
             size = b ** (length - j - 1)
             out = []
-            children = product(range(1, b + 1), repeat=j + 1)
-            for q, mask in enumerate(map(get, children, repeat(full))):
+            for q, mask in enumerate(levels[j]):
                 if q % b == 0:
                     acc = [0] * size
                 below = table[q * size : (q + 1) * size]
@@ -460,31 +430,21 @@ def check_monotone(s: SouslinScheme) -> tuple[bool, bool]:
     Only stored nodes can break either property: a vertical violation
     needs a parent below the full set, and a horizontal one a raised index
     below the full set, and every in-bounds index off ``nodes`` reads as
-    the full set.  So the walk covers ``nodes``, not the whole index space.
-
-    A :class:`CumulativeNodes` scheme is decided from its r masks: its node
-    at a key is C_min(key), so horizontal holds iff C_(m-1) is in C_m for
-    each C_m below full; a key with minimum m has children C_j, j < m, and
-    full ones when depth exceeds r or, with depth above 1, branching does.
+    the full set.  So the walk covers ``nodes``, not the whole index space,
+    and every neighbour it reads is in bounds, so it is read straight from
+    ``nodes``.
     """
     full = s.paving.full_mask
-    if isinstance(s.nodes, CumulativeNodes):
-        r = len(masks := s.nodes.masks)
-        # (C_m, C_(m-1), C_1 | ... | C_(m-1)) for each C_m below full, C_0 empty
-        below = [t for t in zip(masks, (0,) + masks, accumulate((0,) + masks, or_)) if t[0] != full]
-        horizontal = not any(prev & ~c for c, prev, _ in below)
-        loose = s.depth > r or s.branching > r
-        vertical = s.depth == 1 or not any(loose or union & ~c for c, _, union in below)
-        return vertical, horizontal
+    get = s.nodes.get
     vertical = horizontal = True
     for index, mask in s.nodes.items():
         if mask == full:
             continue
-        if vertical and len(index) < s.depth and any(s.node(index + (j,)) & ~mask for j in range(1, s.branching + 1)):
+        if vertical and len(index) < s.depth and any(get(index + (j,), full) & ~mask for j in range(1, s.branching + 1)):
             vertical = False
         if horizontal:
             for pos, e in enumerate(index):
-                if e > 1 and s.node(index[:pos] + (e - 1,) + index[pos + 1 :]) & ~mask:
+                if e > 1 and get(index[:pos] + (e - 1,) + index[pos + 1 :], full) & ~mask:
                     horizontal = False
                     break
         if not (vertical or horizontal):

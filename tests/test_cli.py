@@ -242,11 +242,35 @@ def test_souslin_eval_on_a_wide_sparse_literal_within_budget(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "operation, depth, branching, nodes",
+    [
+        # one stored node: the walk stops at its length, whatever the depth
+        ("eval", 10**6, 2, {"1": ["a"]}),
+        # entry 3 stands for every entry above the largest stored one, 2
+        ("eval", 3, 10**9, {"1": ["a"], "2": ["a"], "2.1": ["a"]}),
+        # Σ l * 1^l index entries passes the budget at l = 2048
+        ("monotonize", 10**6, 1, {"1": ["a"]}),
+    ],
+)
+def test_souslin_ops_on_tiny_literals_with_huge_bounds_finish_at_once(capsys, tmp_path, operation, depth, branching, nodes):
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["schemes"] = {
+        "S": {"ground_set": ["a", "b"], "paving": [["a"], ["a", "b"]], "depth": depth, "branching": branching, "nodes": nodes}
+    }
+    path = write_document(tmp_path, doc)
+    t0 = time.perf_counter()
+    code, _, _ = run_cli(capsys, ["souslin", operation, "--scheme", "S", path])
+    elapsed = time.perf_counter() - t0
+    assert code in (0, 4)
+    assert elapsed < 0.5, f"took {elapsed:.2f}s (budget 0.5s)"
+
+
+@pytest.mark.parametrize(
     "operation, depth, branching, refused",
     [
-        # Σ 8^l over l = 1..7 is 2,396,744 nodes
+        # Σ l * 8^l over l = 1..7 is 16,434,824 index entries
         ("monotonize", 7, 8, "monotonize: a depth 7 x branching 8"),
-        # two 5 x 6 schemes merge at branching theta(6, 2) = 27: Σ 27^l over l = 1..5
+        # two 5 x 6 schemes merge at branching theta(6, 2) = 27: Σ l * 27^l over l = 1..5
         ("union", 5, 6, "merge_union: a depth 5 x branching 27"),
     ],
 )
@@ -261,7 +285,7 @@ def test_souslin_builds_over_the_node_budget_are_refused_at_once(capsys, tmp_pat
     code, out, err = run_cli(capsys, ["souslin", operation, *schemes, path])
     elapsed = time.perf_counter() - t0
     assert (code, out) == (4, "")
-    assert err == f"precondition failure: {refused} scheme has over 1048576 nodes\n"
+    assert err == f"precondition failure: {refused} scheme has over 2097152 index entries\n"
     assert elapsed < 0.5, f"took {elapsed:.2f}s (budget 0.5s)"
 
 

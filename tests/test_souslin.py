@@ -1,7 +1,6 @@
 import random
 import re
-from itertools import accumulate, product
-from operator import or_
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +19,7 @@ from finsection import (
     theta_inv,
 )
 
-from finsection.souslin import CumulativeNodes, scheme_from_literal, scheme_to_literal
+from finsection.souslin import scheme_from_literal, scheme_to_literal
 from gen import closure_under_ops, oracle_eval
 
 GROUND3 = ("1", "2", "3")
@@ -169,6 +168,17 @@ def test_eval_deep_single_branch_literal_matches_oracle():
     assert eval_of(s) == oracle_eval(s.paving.ground, nodes, depth, 1) == {"2"}
 
 
+def test_eval_past_the_stored_keys_matches_oracle():
+    # bounds above the longest stored key and the largest stored entry: the
+    # walk stops at that key's length and at the entry above the largest
+    rng = random.Random(31)
+    paving = all_subsets_paving(GROUND3)
+    for _ in range(150):
+        s = random_scheme(rng, paving, max_depth=2, max_branching=2)
+        wide = SouslinScheme(paving, s.depth + rng.randint(0, 2), s.branching + rng.randint(0, 2), s.nodes)
+        assert eval_of(wide) == oracle_eval_of(wide)
+
+
 def test_eval_monotone_in_branching_bound():
     rng = random.Random(99)
     paving = all_subsets_paving(GROUND3)
@@ -295,9 +305,10 @@ def test_monotonize_rejects_unclosed_paving():
 
 
 def test_merges_and_monotonize_stop_at_the_node_budget():
-    # a result of more than 2^20 nodes (Σ b^l over l = 1..d) is refused up front
+    # a result of more than 2^21 index entries (Σ l * b^l over l = 1..d) is
+    # refused up front
     paving = all_subsets_paving(GROUND3)
-    with pytest.raises(ValueError, match="monotonize: a depth 7 x branching 8 scheme has over 1048576 nodes"):
+    with pytest.raises(ValueError, match="monotonize: a depth 7 x branching 8 scheme has over 2097152 index entries"):
         monotonize(make_scheme(paving, 7, 8, {(1,): ["1"]}))
     s = make_scheme(paving, 6, 8, {(1,): ["1"]})  # Σ 8^l over l <= 6 is 299,592
     # the merges' bounds: depth theta(6, 2) = 27, branching theta(8, 2) = 51
@@ -385,66 +396,6 @@ def test_wide_sparse_literal_evaluates_and_checks_at_once():
     s = make_scheme(paving, 12, 10, {(1,): ["a"]})
     assert eval_of(s) == {"a", "b"}
     assert check_monotone(s) == (False, True)
-
-
-# -------------------------------------------------------- cumulative nodes
-
-def test_cumulative_nodes_read_as_their_table():
-    paving = all_subsets_paving(GROUND3)
-    masks = [paving.mask_of(["1"]), paving.mask_of(["1", "2"]), paving.mask_of(GROUND3)]
-    nodes = CumulativeNodes(masks)
-    table = {
-        idx: masks[min(idx) - 1]
-        for length in range(1, 4)
-        for idx in product(range(1, 4), repeat=length)
-    }
-    assert len(nodes) == len(table) == 3 + 9 + 27
-    assert list(nodes) == sorted(table, key=lambda idx: (len(idx), idx))
-    assert dict(nodes.items()) == table
-    for key in [(), (4,), (0, 1), (1, 1, 1, 1)]:
-        assert key not in nodes
-    computed = SouslinScheme(paving, 3, 3, nodes)
-    stored = SouslinScheme(paving, 3, 3, table)
-    assert check_monotone(computed) == (True, True)
-    for scheme in (computed, computed.with_branching(5)):
-        twin = stored.with_branching(scheme.branching)
-        assert eval_of(scheme) == eval_of(twin)
-        assert check_monotone(scheme) == check_monotone(twin) == full_walk_monotone(twin)
-        for idx in product(range(1, scheme.branching + 2), repeat=4):
-            assert scheme.node(idx) == twin.node(idx)
-
-
-def test_cumulative_nodes_are_validated_by_masks_and_bounds():
-    paving = Paving.from_sets(GROUND3, [["1"], ["1", "2"]])
-    masks = [paving.mask_of(["1"]), paving.mask_of(["1", "2"])]
-    SouslinScheme(paving, 2, 2, CumulativeNodes(masks))
-    SouslinScheme(paving, 3, 4, CumulativeNodes(masks))
-    with pytest.raises(ValueError):
-        SouslinScheme(paving, 1, 2, CumulativeNodes(masks))
-    with pytest.raises(ValueError):
-        SouslinScheme(paving, 2, 1, CumulativeNodes(masks))
-    with pytest.raises(ValueError):
-        SouslinScheme(paving, 2, 2, CumulativeNodes([masks[0], paving.mask_of(["2"])]))
-
-
-def test_check_monotone_decides_cumulative_nodes_from_their_masks():
-    # the dict twin of the same nodes takes the stored walk, the oracle here
-    rng = random.Random(7)
-    seen = set()
-    for _ in range(1500):
-        r = rng.randint(1, 4)
-        paving = all_subsets_paving(GROUND3[: rng.randint(1, 3)])
-        full = paving.full_mask
-        masks = [rng.choice([rng.randint(0, full), full]) for _ in range(r)]
-        if rng.random() < 0.5:  # a chain, as build_monotone_scheme makes
-            masks = list(accumulate(sorted(masks), or_))
-        nodes = CumulativeNodes(masks)
-        depth, branching = rng.randint(r, r + 2), rng.randint(r, r + 2)
-        flags = check_monotone(SouslinScheme(paving, depth, branching, nodes))
-        assert flags == check_monotone(SouslinScheme(paving, depth, branching, dict(nodes)))
-        seen.add(flags)
-    # a vertical cumulative scheme has C_j in C_m for j < m, so it is horizontal
-    assert seen == {(True, True), (False, True), (False, False)}
 
 
 # ------------------------------------------------------------- invariants
@@ -590,16 +541,6 @@ def test_merge_tables_match_explicit_node_construction():
             inter = merge_intersection(schemes)
             assert (inter.depth, inter.branching, inter.nodes) == explicit_intersection_nodes(schemes)
             assert eval_of(inter) == frozenset(paving.ground).intersection(*evals)
-
-
-def test_merge_of_cumulative_nodes_matches_explicit_construction():
-    paving = all_subsets_paving(GROUND3)
-    masks = [paving.mask_of(["1"]), paving.mask_of(["1", "2"])]
-    computed = SouslinScheme(paving, 2, 3, CumulativeNodes(masks))
-    stored = make_scheme(paving, 2, 2, {(2,): ["3"], (1, 2): ["2", "3"]})
-    for schemes in ([computed, stored], [stored, computed]):
-        assert merge_union(schemes).nodes == explicit_union_nodes(schemes)[2]
-        assert merge_intersection(schemes).nodes == explicit_intersection_nodes(schemes)[2]
 
 
 # ------------------------------------------------------------ literals
