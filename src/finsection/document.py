@@ -12,7 +12,12 @@ blocks they replace.  So the refinement check and the new frozensets cost
 what changes between steps; the atom -> block table is still copied once
 per step, O(atoms) each.  When the check fails, the step is built and
 checked on its own, so the violation lines are those of the full check.
-Set literals are type-checked a column at a time.
+
+Weights, set literals and the values of times are checked in bulk: a
+builtin pass over a column, or over its distinct types, accepts it, and
+each distinct weight text is parsed once.  The per-item loop runs only
+when that check fails, to name the first bad item with the message it
+always gave.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import itemgetter
 
-from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults
+from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults, _finite, _index_types
 from .measure import SampleSpace, SigmaAlgebra, parse_rational
 from .souslin import SouslinScheme, scheme_from_literal
 
@@ -107,11 +112,7 @@ def _set_literal_slices(name, literal) -> dict:
         ks = [k for _, k in literal]
     except ValueError:  # a pair of the wrong length
         raise DocumentParseError(shape) from None
-    if not (
-        all(map(isinstance, atoms, repeat(str)))
-        and all(map(isinstance, ks, repeat(int)))
-        and not any(map(isinstance, ks, repeat(bool)))
-    ):
+    if not (all(map(isinstance, atoms, repeat(str))) and _index_types(set(map(type, ks)))):
         raise DocumentParseError(shape)
     slices: dict[int, list] = {}
     end = 0
@@ -157,15 +158,21 @@ def build_document(obj: dict):
         raise DocumentParseError("space.atoms must be strings")
     space = None
     try:
-        weights = [parse_rational(p) for p in prob_list]
+        if all(map(isinstance, prob_list, repeat(str))):
+            # in order of first use, so the first bad text is the one named
+            parsed = {p: parse_rational(p) for p in dict.fromkeys(prob_list)}
+            weights = list(map(parsed.__getitem__, prob_list))
+        else:  # raises, naming the first bad weight
+            weights = [parse_rational(p) for p in prob_list]
         space = SampleSpace(tuple(atom_list), tuple(weights))
     except ValueError as exc:
         violations.append(f"space: {exc}")
 
     grid_list = _require(obj, "grid", list, "document")
-    grid = None
+    grid, n_times = None, None
     try:
         grid = TimeGrid(tuple(parse_rational(t) for t in grid_list))
+        n_times = len(grid)
     except ValueError as exc:
         violations.append(f"grid: {exc}")
 
@@ -186,7 +193,7 @@ def build_document(obj: dict):
 
     X = None
     if space is not None and grid is not None and all(s is not None for s in sigmas):
-        if len(sigmas) != len(grid):
+        if len(sigmas) != n_times:
             violations.append("filtration: need exactly one partition per grid point")
         else:
             try:
@@ -200,7 +207,7 @@ def build_document(obj: dict):
     for name, literal in _optional(obj, "sets", "document").items():
         slices = _set_literal_slices(name, literal)
         if all(
-            (known_atoms is None or known_atoms.issuperset(atoms)) and (grid is None or 0 <= k < len(grid))
+            (known_atoms is None or known_atoms.issuperset(atoms)) and (grid is None or 0 <= k < n_times)
             for k, atoms in slices.items()
         ):
             sets[name] = StochasticSet.from_slices(slices)
@@ -209,7 +216,7 @@ def build_document(obj: dict):
         for atom, k in literal:
             if known_atoms is not None and atom not in known_atoms:
                 violations.append(f"sets.{name}: unknown atom {atom!r}")
-            if grid is not None and not 0 <= k < len(grid):
+            if grid is not None and not 0 <= k < n_times:
                 violations.append(f"sets.{name}: index {k} outside the grid")
 
     times: dict[str, RandomTime] = {}
@@ -221,7 +228,7 @@ def build_document(obj: dict):
         except ValueError as exc:
             violations.append(f"times.{name}: {exc}")
             continue
-        if grid is not None and any(v != INF and v >= len(grid) for v in tau.values.values()):
+        if grid is not None and max(_finite(tau.values.values()), default=0) >= n_times:
             violations.append(f"times.{name}: value outside the grid")
         else:
             times[name] = tau

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, repeat
+from operator import is_not
 from typing import NamedTuple
 
 from .measure import SampleSpace, SigmaAlgebra, is_measurable, refines
@@ -38,6 +40,22 @@ __all__ = [
 ]
 
 INF = float("inf")
+
+# the most atom entries (cover times x atoms) classify_time's cover holds,
+# each one a value its report prints
+_COVER_BUDGET = 1 << 21
+
+
+def _finite(values):
+    """The values that are not the ``INF`` object, as an iterator;
+    ``values`` is read twice, so it is a sequence or a dict view."""
+    return compress(values, map(is_not, values, repeat(INF)))
+
+
+def _index_types(types) -> bool:
+    """True iff every type in ``types`` is an int type other than bool:
+    ``isinstance`` over the distinct types of a column of values."""
+    return all(issubclass(t, int) and not issubclass(t, bool) for t in types)
 
 
 @dataclass(frozen=True)
@@ -120,7 +138,12 @@ class RandomTime:
     values: dict
 
     def __post_init__(self):
-        vals = {}
+        vals = dict(self.values)
+        finite = list(_finite(vals.values()))
+        if _index_types(set(map(type, finite))) and min(finite, default=0) >= 0:
+            object.__setattr__(self, "values", vals)
+            return
+        # some value is bad or an infinity other than INF: name or store it
         for atom, v in self.values.items():
             if v == INF:
                 vals[atom] = INF
@@ -218,8 +241,7 @@ class TimeClassification(NamedTuple):
 def _check_total(tau: RandomTime, X: FilteredSpace):
     if set(tau.values) != set(X.atoms):
         raise ValueError("random time must be total on the space's atoms")
-    n = X.n_times
-    if any(v != INF and v >= n for v in tau.values.values()):
+    if max(_finite(tau.values.values()), default=0) >= X.n_times:
         raise ValueError("random time values must be grid indices or INF")
 
 
@@ -351,14 +373,17 @@ def classify_time(tau: RandomTime, X: FilteredSpace) -> TimeClassification:
     covered by lookback blocks, and the constant time on such a block is
     predictable.  The totally inaccessible part is therefore the empty
     restriction, which meets every predictable time with probability zero.
+    A cover of more than ``_COVER_BUDGET`` atom entries (times x atoms) is
+    refused before any of its times is built.
     """
     _check_total(tau, X)
     G = graph(tau)
     if not is_set_of_kind(G, X, "optional"):
         raise ValueError("classify_time needs a stopping time")
-    cover = []
-    for k, hit in G.slices:
-        # the blocks meeting the level set, in ``blocks`` order (by least atom)
-        for block in sorted(set(map(X.lookback(k)._block_of.__getitem__, hit)), key=min):
-            cover.append(RandomTime({**dict.fromkeys(X.atoms, INF), **dict.fromkeys(block, k)}))
+    # per level, the blocks meeting it, in ``blocks`` order (by least atom)
+    levels = [(k, sorted(set(map(X.lookback(k)._block_of.__getitem__, hit)), key=min)) for k, hit in G.slices]
+    count = sum(len(blocks) for _, blocks in levels)
+    if count * len(X.atoms) > _COVER_BUDGET:
+        raise ValueError(f"classify_time: a cover of {count} times over {len(X.atoms)} atoms has over {_COVER_BUDGET} entries")
+    cover = [RandomTime({**dict.fromkeys(X.atoms, INF), **dict.fromkeys(block, k)}) for k, blocks in levels for block in blocks]
     return TimeClassification(tuple(cover), restrict(tau, frozenset()), tau)

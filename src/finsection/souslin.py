@@ -454,23 +454,18 @@ def check_monotone(s: SouslinScheme) -> tuple[bool, bool]:
 
 def scheme_to_literal(s: SouslinScheme) -> dict:
     """JSON-ready literal: ground_set, paving, depth, branching, and nodes
-    keyed by dotted index strings.  Nodes with equal masks share one
-    element list."""
+    keyed by dotted index strings, in the order the scheme stores them.
+    Each distinct mask's element list is built once and shared by the
+    nodes and members that hold it, and each entry is rendered once."""
     ground = [str(e) for e in s.paving.ground]
-    lists: dict[int, list] = {}
-
-    def elems(mask):
-        out = lists.get(mask)
-        if out is None:
-            out = lists[mask] = _elements(ground, mask)
-        return out
-
+    lists = {mask: _elements(ground, mask) for mask in {*s.paving.member_masks, *s.nodes.values()}}
+    texts = {e: str(e) for e in set(chain.from_iterable(s.nodes))}
     return {
         "ground_set": ground,
-        "paving": [elems(m) for m in s.paving.member_masks],
+        "paving": [lists[m] for m in s.paving.member_masks],
         "depth": s.depth,
         "branching": s.branching,
-        "nodes": {".".join(map(str, idx)): elems(mask) for idx, mask in sorted(s.nodes.items())},
+        "nodes": {".".join(map(texts.__getitem__, idx)): lists[mask] for idx, mask in s.nodes.items()},
     }
 
 
@@ -518,17 +513,22 @@ def scheme_from_literal(obj) -> SouslinScheme:
     entries: dict[str, int] = {}
     masks: dict[tuple, int] = {}
     for key, value in raw_nodes.items():
-        parts = str(key).split(".")
+        try:
+            parts = key.split(".")
+        except AttributeError:  # a key that is not a string
+            parts = str(key).split(".")
         try:
             index = tuple(map(entries.__getitem__, parts))
         except KeyError:
             index = _index_of(key, parts, entries)
+        if type(value) is not list:
+            _array(value)  # a list subclass passes, anything else raises
+        elems = tuple(value)
         try:
-            elems = tuple(_array(value))
-            mask = masks.get(elems)
+            mask = masks[elems]
+        except KeyError:
+            mask = masks[elems] = paving.mask_of(elems)
         except TypeError:  # an unhashable element
             mask = paving.mask_of(value)  # raises, naming it
-        if mask is None:
-            mask = masks[elems] = paving.mask_of(elems)
         nodes[index] = mask
     return SouslinScheme(paving, depth, branching, nodes)

@@ -109,6 +109,17 @@ def test_main_called_again_after_an_argv_error_gives_a_lone_calls_bytes(capsys):
         pytest.param(
             lambda d: d["times"]["tau"].__setitem__("w1", 3), "times.tau: value outside the grid", id="time-past-grid"
         ),
+        # each distinct weight text is parsed once; the first bad one is still named
+        pytest.param(
+            lambda d: d["space"].__setitem__("probs", ["1/4", "1/4", "1/0", "1/2", "x", "1/0"]),
+            "space: zero denominator in rational literal: '1/0'",
+            id="repeated-weights-then-zero-denominator",
+        ),
+        pytest.param(
+            lambda d: d["space"].__setitem__("probs", ["1/4", "1/4", 5, "1/0"]),
+            "space: not a rational literal: 5",
+            id="repeated-weights-then-number",
+        ),
     ],
 )
 def test_validate_names_each_filtration_and_time_fault(capsys, tmp_path, mutate, line):
@@ -262,6 +273,26 @@ def test_souslin_ops_on_tiny_literals_with_huge_bounds_finish_at_once(capsys, tm
     code, _, _ = run_cli(capsys, ["souslin", operation, "--scheme", "S", path])
     elapsed = time.perf_counter() - t0
     assert code in (0, 4)
+    assert elapsed < 0.5, f"took {elapsed:.2f}s (budget 0.5s)"
+
+
+def test_classify_time_over_the_cover_budget_is_refused_at_once(capsys, tmp_path):
+    # discrete F_1 and tau = 2 on every atom: 1449 cover times x 1449 atoms
+    # is 2,099,601 entries, just over 2^21
+    atoms = [f"w{i}" for i in range(1449)]
+    singles = [[a] for a in atoms]
+    doc = {
+        "space": {"atoms": atoms, "probs": ["1/1449"] * len(atoms)},
+        "grid": ["0", "1", "2"],
+        "filtration": [[atoms], singles, singles],
+        "times": {"tau": dict.fromkeys(atoms, 2)},
+    }
+    path = write_document(tmp_path, doc)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["classify-time", "--time", "tau", path])
+    elapsed = time.perf_counter() - t0
+    assert (code, out) == (4, "")
+    assert err == "precondition failure: classify_time: a cover of 1449 times over 1449 atoms has over 2097152 entries\n"
     assert elapsed < 0.5, f"took {elapsed:.2f}s (budget 0.5s)"
 
 

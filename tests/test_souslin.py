@@ -398,6 +398,15 @@ def test_wide_sparse_literal_evaluates_and_checks_at_once():
     assert check_monotone(s) == (False, True)
 
 
+def test_literal_of_a_sparse_scheme_with_a_huge_entry_is_written_at_once():
+    # the literal renders the entries it stores, not every entry up to the largest
+    paving = Paving.from_sets(("a", "b"), [["a"], ["a", "b"]])
+    s = SouslinScheme(paving, 2, 10**9, {(10**9,): 1, (1, 10**9 - 1): 1})
+    literal = scheme_to_literal(s)
+    assert literal["nodes"] == {"1000000000": ["a"], "1.999999999": ["a"]}
+    assert scheme_from_literal(literal).nodes == s.nodes
+
+
 # ------------------------------------------------------------- invariants
 
 def test_scheme_validation_rejects_out_of_bounds_nodes():
@@ -554,6 +563,19 @@ def test_literal_round_trip_keeps_every_node():
         back = scheme_from_literal(literal)
         assert (back.depth, back.branching, back.nodes) == (s.depth, s.branching, s.nodes)
         assert scheme_to_literal(back) == literal
+
+
+class Elements(list):
+    """A list subclass, as a library caller may pass for a node value."""
+
+
+def test_literal_with_integer_keys_and_list_subclass_values_loads_as_its_text_form():
+    text = {"ground_set": ["a", "b"], "paving": [["a"], ["a", "b"]], "depth": 2, "branching": 12, "nodes": {}}
+    text["nodes"] = {"1": ["a"], "12": ["a", "b"], "2.3": ["a"], "2": []}
+    loose = {**text, "nodes": {1: Elements(["a"]), 12: Elements(["a", "b"]), "2.3": Elements(["a"]), 2: Elements()}}
+    want, got = scheme_from_literal(text), scheme_from_literal(loose)
+    assert (got.depth, got.branching, got.nodes) == (want.depth, want.branching, want.nodes)
+    assert scheme_to_literal(got) == scheme_to_literal(want)
 
 
 @pytest.mark.parametrize("key", ["1_0", "١", " 1", "1 ", "01", "+1", "-0", "1.", ".1", "1..2", "", "1.02"])
