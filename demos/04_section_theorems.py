@@ -39,8 +39,8 @@ X = FilteredSpace(space, grid, (trivial_sigma(atoms), halves, halves, discrete_s
 # loose epsilon lets the sweep stop there while epsilon 0 must go deeper.
 P = StochasticSet(frozenset({("w1", 2), ("w2", 2)} | {(a, 3) for a in atoms}))
 
-iu = to_interval_representation(P, X)
-print("interval pairs:", len(iu.pairs), "realized == P:", iu.realized_set == P)
+pairs = to_interval_representation(P, X)
+print("interval pairs:", len(pairs))
 
 scheme = build_monotone_scheme(P, X)
 print("scheme bounds:", (scheme.depth, scheme.branching), "monotone:", check_monotone(scheme))

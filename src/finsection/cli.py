@@ -15,6 +15,8 @@ from .document import DocumentParseError, build_document, parse_document, time_t
 from .filtered import classify_time, graph
 from .measure import format_rational, parse_rational
 from .section import (
+    STRATEGY_DEBUT,
+    STRATEGY_SOUSLIN,
     accessible_section,
     measurable_section,
     optional_section,
@@ -89,13 +91,15 @@ def _emit(obj, fmt: str):
 
 
 def _read_document(path):
-    if path is None:
-        return sys.stdin.read()
     try:
+        if path is None:
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
         raise DocumentParseError(f"cannot read document: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentParseError(f"document is not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from exc
 
 
 def _lookup(table: dict, name: str, kind: str):
@@ -107,12 +111,13 @@ def _lookup(table: dict, name: str, kind: str):
 def _section_report(args, doc) -> dict:
     target = _lookup(doc.sets, args.set_name, "set")
     eps = parse_rational(args.epsilon)
+    strategy = STRATEGY_DEBUT if args.strategy == "debut" else STRATEGY_SOUSLIN
     if args.kind == "predictable":
-        result = predictable_section(target, doc.X, eps, args.strategy)
+        result = predictable_section(target, doc.X, eps, strategy)
     elif args.kind == "optional":
-        result = optional_section(target, doc.X, eps, args.strategy)
+        result = optional_section(target, doc.X, eps, strategy)
     elif args.kind == "accessible":
-        result = accessible_section(target, doc.X, eps, args.strategy)
+        result = accessible_section(target, doc.X, eps, strategy)
     else:
         result = measurable_section(target, doc.X.space, doc.X.grid)
     return {

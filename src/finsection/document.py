@@ -23,6 +23,7 @@ always gave.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import itemgetter
@@ -58,6 +59,10 @@ def parse_document(text: str) -> dict:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentParseError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise DocumentParseError(f"JSON integer of more than {sys.get_int_max_str_digits()} digits") from exc
+    except RecursionError as exc:
+        raise DocumentParseError("JSON nested too deeply") from exc
     if not isinstance(obj, dict):
         raise DocumentParseError("document must be a JSON object")
     return obj

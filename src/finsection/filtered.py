@@ -156,9 +156,6 @@ class RandomTime:
     def finite_support(self) -> frozenset:
         return frozenset(a for a, v in self.values.items() if v != INF)
 
-    def level_eq(self, k: int) -> frozenset:
-        return frozenset(a for a, v in self.values.items() if v == k)
-
 
 def constant_time(atoms, k: int) -> RandomTime:
     return RandomTime({a: k for a in atoms})
@@ -197,11 +194,6 @@ class StochasticSet:
     @classmethod
     def empty(cls) -> "StochasticSet":
         return cls.from_slices({})
-
-    @classmethod
-    def rectangle(cls, atoms, n_times: int) -> "StochasticSet":
-        row = frozenset(atoms)
-        return cls.from_slices({k: row for k in range(n_times)})
 
     @property
     def cells(self) -> frozenset:

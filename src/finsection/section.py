@@ -38,7 +38,6 @@ from .souslin import Paving, SouslinScheme, _check_budget, check_monotone, empty
 __all__ = [
     "STRATEGY_DEBUT",
     "STRATEGY_SOUSLIN",
-    "IntervalUnion",
     "SectionTrace",
     "SectionResult",
     "OptionalDecomposition",
@@ -55,15 +54,6 @@ __all__ = [
 
 STRATEGY_DEBUT = "debut-oracle"
 STRATEGY_SOUSLIN = "souslin"
-
-
-@dataclass(frozen=True)
-class IntervalUnion:
-    """A stochastic set realized as a finite union of closed intervals, each
-    from a predictable left time to a pointwise finite stopping time."""
-
-    pairs: tuple
-    realized_set: StochasticSet
 
 
 @dataclass(frozen=True)
@@ -110,15 +100,15 @@ def _check_epsilon(eps) -> Fraction:
     return eps
 
 
-def _checked(S: StochasticSet, X: FilteredSpace, eps, strategy, kind: str, message: str) -> tuple:
+def _checked(S: StochasticSet, X: FilteredSpace, eps, strategy, kind: str, message: str) -> Fraction:
     """The one input check of a section solver: epsilon, then strategy, then
-    the set's kind.  Returns eps as a Fraction and the strategy's name."""
+    the set's kind.  Returns eps as a Fraction."""
     eps = _check_epsilon(eps)
-    if strategy not in ("debut", STRATEGY_DEBUT, STRATEGY_SOUSLIN):
+    if strategy not in (STRATEGY_DEBUT, STRATEGY_SOUSLIN):
         raise ValueError(f"unknown section strategy {strategy!r}")
     if not is_set_of_kind(S, X, kind):
         raise ValueError(message)
-    return eps, STRATEGY_DEBUT if strategy == "debut" else strategy
+    return eps
 
 
 def _report(X: FilteredSpace, target, target_outer, time, strategy, prefix=(), measures=()) -> SectionResult:
@@ -129,18 +119,16 @@ def _report(X: FilteredSpace, target, target_outer, time, strategy, prefix=(), m
     return SectionResult(time, target_outer - prob(time.finite_support()), strategy, trace)
 
 
-def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> IntervalUnion:
-    """Realize a predictable set as a union of one closed interval per
-    nonempty slice: the left endpoint is the slice-restricted constant
-    time (predictable because the slice is measurable one step back) and
-    the right endpoint the same constant, so each interval is exactly the
-    slice's row of cells and their union is the set itself."""
+def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> tuple:
+    """Realize a predictable set as a union of closed intervals, one
+    (left, right) pair of times per nonempty slice: the left endpoint is
+    the slice-restricted constant time (predictable because the slice is
+    measurable one step back) and the right endpoint the same constant, so
+    each interval is exactly the slice's row of cells and their union is
+    the set itself."""
     if not is_set_of_kind(P_set, X, "predictable"):
         raise ValueError("interval representation needs a predictable set")
-    pairs = tuple(
-        (restrict(constant_time(X.atoms, k), slice_k), constant_time(X.atoms, k)) for k, slice_k in P_set.slices
-    )
-    return IntervalUnion(pairs, P_set)
+    return tuple((restrict(constant_time(X.atoms, k), slice_k), constant_time(X.atoms, k)) for k, slice_k in P_set.slices)
 
 
 def _cell_ground(X: FilteredSpace) -> tuple:
@@ -237,7 +225,7 @@ def predictable_section(P_set: StochasticSet, X: FilteredSpace, eps, strategy=ST
     that of C_k*.  The prefix measures grow slice by slice, a block of the
     last partition added when an atom of it first shows up, up to k*.
     """
-    eps, strategy = _checked(P_set, X, eps, strategy, "predictable", "predictable_section needs a predictable set")
+    eps = _checked(P_set, X, eps, strategy, "predictable", "predictable_section needs a predictable set")
     return _predictable_section(P_set, X, eps, strategy)
 
 
@@ -309,7 +297,7 @@ def optional_section(O: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_
     eps, assembled from a predictable section of the largest predictable
     subset at eps/2 and a prefix of the thin remainder times covering all
     but eps/2 of the leftover projection mass."""
-    eps, strategy = _checked(O, X, eps, strategy, "optional", "optional_section needs an optional set")
+    eps = _checked(O, X, eps, strategy, "optional", "optional_section needs an optional set")
     return _optional_section(O, X, eps, strategy)
 
 
@@ -347,5 +335,5 @@ def accessible_section(A_set: StochasticSet, X: FilteredSpace, eps, strategy=STR
     sigma-algebra coincides with the optional one and the optional
     construction already returns an accessible time.
     """
-    eps, strategy = _checked(A_set, X, eps, strategy, "optional", "accessible_section needs an optional set")
+    eps = _checked(A_set, X, eps, strategy, "optional", "accessible_section needs an optional set")
     return _optional_section(A_set, X, eps, strategy)

@@ -35,6 +35,8 @@ __all__ = [
 # the most index entries (Σ l * branching^l, l = 1..depth) a merge or
 # monotonize writes: what its result stores and its literal prints
 _ENTRY_BUDGET = 1 << 21
+# the most member pairs (members^2) monotonize's closure check tests
+_PAIR_BUDGET = 1 << 21
 
 
 def theta(k: int, m: int) -> int:
@@ -197,15 +199,6 @@ class SouslinScheme:
             key = tuple(min(e, b) for e in key)
         return self.nodes.get(key, self.paving.full_mask)
 
-    def node_set(self, index) -> frozenset:
-        return self.paving.set_of(self.node(index))
-
-    def with_branching(self, branching: int) -> "SouslinScheme":
-        """Same nodes under a raised branching bound."""
-        if branching < self.branching:
-            raise ValueError("branching bound can only be raised")
-        return SouslinScheme(self.paving, self.depth, branching, self.nodes)
-
 
 def empty_scheme(paving: Paving) -> SouslinScheme:
     """The degenerate scheme evaluating to the empty set."""
@@ -262,10 +255,13 @@ def _check_budget(name: str, depth: int, branching: int):
 
 
 def _shared_paving(schemes, paving):
+    """The first scheme's paving, once every scheme's paving has its ground
+    in the same order and the same members, listed in any order."""
     if schemes:
         first = schemes[0].paving
+        members = set(first.member_masks)
         for s in schemes[1:]:
-            if s.paving != first:
+            if s.paving.ground != first.ground or set(s.paving.member_masks) != members:
                 raise ValueError("merged schemes must share one paving")
         return first
     if paving is None:
@@ -394,6 +390,9 @@ def monotonize(s: SouslinScheme) -> SouslinScheme:
     masks, so the rebuild costs the sum of l * b^l mask operations.
     """
     _check_budget("monotonize", s.depth, s.branching)
+    members = len(s.paving.member_masks)
+    if members * members > _PAIR_BUDGET:
+        raise ValueError(f"monotonize: a paving of {members} members has over {_PAIR_BUDGET} member pairs")
     if not s.paving.closed_under_finite_ops():
         raise ValueError("monotonize requires a union/intersection-closed paving")
     full = s.paving.full_mask
@@ -508,6 +507,8 @@ def scheme_from_literal(obj) -> SouslinScheme:
     if any(not isinstance(v, int) or isinstance(v, bool) for v in (depth, branching)):
         raise ValueError("scheme depth and branching must be integers")
     paving = Paving.from_sets(ground, map(_array, members))
+    if not all(isinstance(e, str) for e in ground):
+        raise ValueError("ground set elements must be strings")
     nodes = {}
     # entry text -> entry and node value -> mask, each parsed once per literal
     entries: dict[str, int] = {}

@@ -1,8 +1,8 @@
 """Guards on the public names: the package exports exactly its four layer
 modules' ``__all__`` lists, the README's library overview names each of
-them in its module's row, and the benchmark's span tracer still finds
-every callable it wraps (it raises ValueError on a name that is gone, which
-would break ``bench/run.py --trace 1``)."""
+them in its module's row and nothing else there, and the benchmark's span
+tracer still finds every callable it wraps (it raises ValueError on a name
+that is gone, which would break ``bench/run.py --trace 1``)."""
 
 import re
 import sys
@@ -38,6 +38,9 @@ def test_readme_overview_row_names_every_layer_export():
         row = rows[layer.__name__]
         missing = [name for name in layer.__all__ if not re.search(rf"\b{name}\b", row)]
         assert not missing, f"{layer.__name__} row misses {missing}"
+        # and the row names nothing else: each backticked name past the module's own
+        extra = [name for name in re.findall(r"`(\w+)`", row.split("|")[2]) if name not in layer.__all__]
+        assert not extra, f"{layer.__name__} row names {extra}, which it does not export"
 
 
 def test_bench_tracer_finds_every_traced_callable():

@@ -320,6 +320,51 @@ def test_souslin_builds_over_the_node_budget_are_refused_at_once(capsys, tmp_pat
     assert elapsed < 0.5, f"took {elapsed:.2f}s (budget 0.5s)"
 
 
+def test_monotonize_over_the_pair_budget_is_refused_at_once(capsys, tmp_path):
+    # the power set of 13 elements: 8192 members, 2^26 pairs for the closure check
+    ground = [f"e{i}" for i in range(13)]
+    members = [[e for i, e in enumerate(ground) if bits >> i & 1] for bits in range(1 << len(ground))]
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["schemes"] = {"S": {"ground_set": ground, "paving": members, "depth": 1, "branching": 1, "nodes": {"1": []}}}
+    path = write_document(tmp_path, doc)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, ["souslin", "monotonize", "--scheme", "S", path])
+    elapsed = time.perf_counter() - t0
+    assert (code, out) == (4, "")
+    assert err == "precondition failure: monotonize: a paving of 8192 members has over 2097152 member pairs\n"
+    assert elapsed < 0.5, f"took {elapsed:.2f}s (budget 0.5s)"
+
+
+@pytest.mark.parametrize("operation", ["union", "intersect"])
+def test_merges_compare_pavings_by_value_but_keep_ground_order(capsys, tmp_path, operation):
+    argv = ["souslin", operation, "--scheme", "A", "--scheme", "B"]
+    want = run_cli(capsys, argv + [FIX_B])
+    assert want[0] == 0
+    doc = json.loads(Path(FIX_B).read_text())
+    doc["schemes"]["B"]["paving"].reverse()
+    assert run_cli(capsys, argv + [write_document(tmp_path, doc)]) == want
+    doc["schemes"]["B"]["ground_set"].reverse()
+    refused = run_cli(capsys, argv + [write_document(tmp_path, doc)])
+    assert refused == (4, "", "precondition failure: merged schemes must share one paving\n")
+
+
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        pytest.param(b"[" * 100_000 + b"]" * 100_000, "parse error: JSON nested too deeply", id="nested-too-deeply"),
+        pytest.param(
+            b'{"space": 1' + b"0" * 4999 + b"}", "parse error: JSON integer of more than 4300 digits", id="integer-too-long"
+        ),
+        pytest.param(b'{"space": "\xff"}', "parse error: document is not UTF-8: byte 0xff at offset 11", id="not-utf-8"),
+    ],
+)
+def test_undecodable_documents_are_parse_errors(capsys, tmp_path, raw, line):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    code, out, err = run_cli(capsys, ["validate", str(path)])
+    assert (code, out, err) == (2, "", line + "\n")
+
+
 def test_souslin_eval_rejects_multiple_schemes(capsys):
     code, _, _ = run_cli(capsys, ["souslin", "eval", "--scheme", "A", "--scheme", "B", FIX_B])
     assert code == 4
@@ -537,6 +582,12 @@ def set_node(key, value):
         pytest.param(lambda s: s["paving"].append(5), "5 is not a collection of ground elements", id="paving-member-5"),
         pytest.param(set_node("1", [["a"]]), "element ['a'] is not in the ground set", id="node-value-nested-list"),
         pytest.param(lambda s: s["ground_set"].append(["a"]), "ground set elements must be hashable", id="ground-element-list"),
+        pytest.param(
+            lambda s: s.update(ground_set=[1, "1"], paving=[["1"]], nodes={"1": ["1"]}),
+            "ground set elements must be strings",
+            id="ground-int-beside-its-text",
+        ),
+        pytest.param(lambda s: s["ground_set"].append(None), "ground set elements must be strings", id="ground-element-null"),
         pytest.param(set_node("1_0", ["a"]), "bad scheme index key '1_0'", id="key-underscore"),
         pytest.param(set_node("\u0661", ["a"]), "bad scheme index key '\u0661'", id="key-arabic-indic-digit"),
         pytest.param(set_node(" 1", ["a"]), "bad scheme index key ' 1'", id="key-leading-space"),

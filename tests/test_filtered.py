@@ -146,7 +146,7 @@ def test_debut_picks_first_entry():
 
 def test_debut_of_full_rectangle_is_start():
     X = fix_b()
-    S = StochasticSet.rectangle(X.atoms, X.n_times)
+    S = StochasticSet.from_slices({k: X.atoms for k in range(X.n_times)})
     assert debut(S, X) == constant_time(X.atoms, 0)
 
 
@@ -234,7 +234,7 @@ def test_interval_full_rectangle():
     X = fix_b()
     lo = constant_time(X.atoms, 0)
     hi = constant_time(X.atoms, X.n_times - 1)
-    assert interval(lo, hi, X) == StochasticSet.rectangle(X.atoms, X.n_times)
+    assert interval(lo, hi, X) == StochasticSet.from_slices({k: X.atoms for k in range(X.n_times)})
 
 
 def test_interval_reversed_endpoints_is_empty():

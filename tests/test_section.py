@@ -66,21 +66,27 @@ def test_projection_basics():
 
 # ------------------------------------------------- interval representation
 
+def realized(pairs, X):
+    """The union of the closed intervals [[left, right]]."""
+    out = StochasticSet.empty()
+    for left, right in pairs:
+        out = out | interval(left, right, X)
+    return out
+
+
 def test_interval_representation_of_empty_set():
-    iu = to_interval_representation(StochasticSet.empty(), fix_a())
-    assert iu.pairs == ()
-    assert iu.realized_set == StochasticSet.empty()
+    assert to_interval_representation(StochasticSet.empty(), fix_a()) == ()
 
 
 def test_interval_representation_fix_b_single_slice():
     X = fix_b()
     P = fix_b_late_pair_set()
-    iu = to_interval_representation(P, X)
-    assert len(iu.pairs) == 1
-    left, right = iu.pairs[0]
+    pairs = to_interval_representation(P, X)
+    assert len(pairs) == 1
+    left, right = pairs[0]
     assert left == restrict(constant_time(X.atoms, 2), {"w1", "w2"})
     assert right == constant_time(X.atoms, 2)
-    assert iu.realized_set == P
+    assert realized(pairs, X) == P
 
 
 def test_interval_representation_roundtrips_and_validates():
@@ -88,15 +94,12 @@ def test_interval_representation_roundtrips_and_validates():
     for _ in range(300):
         X = gen.random_filtered_space(rng, max_atoms=8, max_times=4)
         P = gen.random_predictable_set(rng, X)
-        iu = to_interval_representation(P, X)
-        assert iu.realized_set == P
-        rebuilt = StochasticSet.empty()
-        for left, right in iu.pairs:
+        pairs = to_interval_representation(P, X)
+        for left, right in pairs:
             assert is_predictable_time(left, X)
             assert is_stopping_time(right, X)
             assert all(v != INF for v in right.values.values())
-            rebuilt = rebuilt | interval(left, right, X)
-        assert rebuilt == P
+        assert realized(pairs, X) == P
 
 
 def test_interval_representation_rejects_non_predictable():
@@ -126,7 +129,7 @@ def test_roundtrip_exhaustive_small_fixtures():
     for X in gen.exhaustive_spaces(4, 3):
         for P in gen.predictable_sets_of(X):
             assert eval_scheme(build_monotone_scheme(P, X)) == P.cells
-            assert to_interval_representation(P, X).realized_set == P
+            assert realized(to_interval_representation(P, X), X) == P
 
 
 def test_scheme_eval_matches_bruteforce_on_random_sets():
@@ -298,7 +301,7 @@ def test_predictable_section_of_empty_set():
 def test_predictable_section_fix_b_exact():
     X = fix_b()
     P = fix_b_late_pair_set()
-    res = predictable_section(P, X, Fraction(0), "debut")
+    res = predictable_section(P, X, Fraction(0), STRATEGY_DEBUT)
     assert res.time == restrict(constant_time(X.atoms, 2), {"w1", "w2"})
     assert X.space.prob(res.time.finite_support()) == Fraction(1, 2)
     assert res.deficit == 0
@@ -537,7 +540,17 @@ def test_each_public_entry_refuses_a_set_of_the_wrong_kind(entry, message):
         entry(not_optional, X)
 
 
-@pytest.mark.parametrize("strategy", ["debut", "souslin"])
+@pytest.mark.parametrize("entry", [predictable_section, optional_section, accessible_section])
+def test_section_solvers_take_only_the_two_strategy_constants(entry):
+    # the CLI's "--strategy debut" is its own spelling of STRATEGY_DEBUT
+    X = fix_b()
+    P = fix_b_late_pair_set()
+    for strategy in ("debut", "souslin-oracle", None):
+        with pytest.raises(ValueError, match=f"^unknown section strategy {strategy!r}$"):
+            entry(P, X, Fraction(0), strategy)
+
+
+@pytest.mark.parametrize("strategy", [STRATEGY_DEBUT, STRATEGY_SOUSLIN], ids=["debut", "souslin"])
 def test_each_public_entry_checks_its_set_once(monkeypatch, strategy):
     import finsection.section as section_module
 
@@ -559,7 +572,7 @@ def test_each_public_entry_checks_its_set_once(monkeypatch, strategy):
         assert calls == [(O, "optional")]
 
 
-@pytest.mark.parametrize("strategy", ["debut", "souslin"])
+@pytest.mark.parametrize("strategy", [STRATEGY_DEBUT, STRATEGY_SOUSLIN], ids=["debut", "souslin"])
 def test_predictable_section_checks_its_set_once(monkeypatch, strategy):
     import finsection.section as section_module
 
@@ -583,7 +596,7 @@ def test_predictable_section_checks_its_set_once(monkeypatch, strategy):
     assert calls == [(not_predictable, "predictable")]
 
 
-@pytest.mark.parametrize("strategy", ["debut", "souslin"])
+@pytest.mark.parametrize("strategy", [STRATEGY_DEBUT, STRATEGY_SOUSLIN], ids=["debut", "souslin"])
 def test_predictable_section_names_a_cell_outside_the_space(strategy):
     X = fix_b()
     with pytest.raises(ValueError, match=r"cell \('w1', 3\) is outside the space"):

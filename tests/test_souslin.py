@@ -184,7 +184,7 @@ def test_eval_monotone_in_branching_bound():
     paving = all_subsets_paving(GROUND3)
     for _ in range(80):
         s = monotonize(random_scheme(rng, paving, max_depth=2, max_branching=2))
-        raised = s.with_branching(s.branching + 1)
+        raised = SouslinScheme(s.paving, s.depth, s.branching + 1, s.nodes)
         assert eval_of(s) <= eval_of(raised)
 
 
@@ -267,9 +267,9 @@ def test_monotonize_fixed_example():
     assert eval_of(out) == eval_of(s) == {"1", "2"}
     assert check_monotone(out) == (True, True)
     # frozen expectations computed with the dominated-union definition
-    assert out.node_set((1,)) == {"1"}
-    assert out.node_set((2,)) == {"1", "2"}
-    assert out.node_set((2, 1)) == {"1", "2"}
+    assert paving.set_of(out.node((1,))) == {"1"}
+    assert paving.set_of(out.node((2,))) == {"1", "2"}
+    assert paving.set_of(out.node((2, 1))) == {"1", "2"}
 
 
 def test_monotonize_keeps_already_monotone_eval():
@@ -302,6 +302,22 @@ def test_monotonize_rejects_unclosed_paving():
     s = make_scheme(paving, 1, 2, {(1,): ["1"], (2,): ["2"]})
     with pytest.raises(ValueError):
         monotonize(s)
+
+
+def test_monotonize_checks_closure_only_within_the_pair_budget(monkeypatch):
+    # members^2 pairs: a chain of m sets over m - 1 elements is closed
+    import finsection.souslin as souslin_module
+
+    def chain_scheme(members):
+        ground = tuple(str(i) for i in range(members - 1))
+        paving = Paving.from_sets(ground, [ground[:i] for i in range(members)])
+        return make_scheme(paving, 1, 2, {(1,): ground[:1]})
+
+    monkeypatch.setattr(souslin_module, "_PAIR_BUDGET", 16)
+    s = chain_scheme(4)
+    assert eval_of(monotonize(s)) == eval_of(s)
+    with pytest.raises(ValueError, match=r"^monotonize: a paving of 5 members has over 16 member pairs$"):
+        monotonize(chain_scheme(5))
 
 
 def test_merges_and_monotonize_stop_at_the_node_budget():
@@ -384,7 +400,7 @@ def test_check_monotone_stored_walk_matches_full_walk():
                     flags = check_monotone(scheme)
                     assert flags == full_walk_monotone(scheme)
                     seen.add(flags)
-                    raised = scheme.with_branching(scheme.branching + 1)
+                    raised = SouslinScheme(paving, scheme.depth, scheme.branching + 1, scheme.nodes)
                     assert check_monotone(raised) == full_walk_monotone(raised)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
@@ -436,7 +452,6 @@ def test_scheme_value_must_come_from_paving():
         (lambda: SouslinScheme(Paving(("a",), (1,)), 1, 0, {}), "depth and branching bounds must be positive"),
         (lambda: SouslinScheme(Paving(("a",), (1,)), 1, 1, {}).node(()), "scheme index must be nonempty"),
         (lambda: SouslinScheme(Paving(("a",), (1,)), 1, 1, {}).node((1, 0)), "scheme index entries must be positive"),
-        (lambda: SouslinScheme(Paving(("a",), (1,)), 1, 2, {}).with_branching(1), "branching bound can only be raised"),
     ],
 )
 def test_paving_and_scheme_refusals_name_themselves(build, message):
@@ -490,7 +505,7 @@ def test_monotonize_matches_dominated_box_walk():
         elif trial % 4 == 2:
             # every stored entry sits at or below the old bound; the raised
             # indices read the full set
-            s = s.with_branching(s.branching + 1)
+            s = SouslinScheme(paving, s.depth, s.branching + 1, s.nodes)
         elif trial % 4 == 3:
             # a few stored nodes under a deeper bound
             s = SouslinScheme(paving, s.depth + 1, s.branching, dict(list(s.nodes.items())[:3]))
