@@ -91,15 +91,22 @@ def _emit(obj, fmt: str):
 
 
 def _read_document(path):
+    """The document's text, from the file at ``path`` or from stdin: its
+    bytes decoded as strict UTF-8, with CRLF and lone CR line ends read as
+    LF, as a file opened in text mode reads them."""
     try:
         if path is None:
-            return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb") as handle:
+                data = handle.read()
+        text = data.decode("utf-8")
     except OSError as exc:
         raise DocumentParseError(f"cannot read document: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise DocumentParseError(f"document is not UTF-8: byte {exc.object[exc.start]:#04x} at offset {exc.start}") from exc
+    # the membership test is one fast scan; replace scans slowly even when nothing matches
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _lookup(table: dict, name: str, kind: str):

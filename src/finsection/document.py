@@ -12,6 +12,12 @@ blocks they replace.  So the refinement check and the new frozensets cost
 what changes between steps; the atom -> block table is still copied once
 per step, O(atoms) each.  When the check fails, the step is built and
 checked on its own, so the violation lines are those of the full check.
+A step written as the same literal as the step before, where that step
+loaded without a fault, is that step's partition object: one list
+comparison, and nothing built or checked again, as ``_split`` with no new
+block returns the partition it splits.  ``FilteredSpace`` then accepts a
+repeated or split step against the one before at once, since it is the
+same object or records it as its parent (``measure.refines``).
 
 Weights, set literals and the values of times are checked in bulk: a
 builtin pass over a column, or over its distinct types, accepts it, and
@@ -185,6 +191,9 @@ def build_document(obj: dict):
     sigmas = []
     previous: dict = {}  # the last step's blocks: first atom -> (atom array, block)
     for k, part in enumerate(filt_list):
+        if k and sigmas[-1] is not None and part == filt_list[k - 1]:
+            sigmas.append(sigmas[-1])  # the step before, written again
+            continue
         blocks = _partition_literal(k, part, previous)
         sigma = sigmas[-1]._split(blocks) if sigmas and sigmas[-1] is not None else None
         if sigma is None:  # not a split of the step before: build and check it alone

@@ -61,12 +61,13 @@ def _index_types(types) -> bool:
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing nonnegative rational time labels; index-based
-    everywhere else, with ``INF`` as the distinguished infinity."""
+    everywhere else, with ``INF`` as the distinguished infinity.
+    ``Fraction`` labels are kept as given; others are converted."""
 
     labels: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(Fraction(t) for t in self.labels))
+        object.__setattr__(self, "labels", tuple(t if type(t) is Fraction else Fraction(t) for t in self.labels))
         if not self.labels:
             raise ValueError("time grid needs at least one point")
         if any(t < 0 for t in self.labels):

@@ -6,10 +6,13 @@ exact, so no tolerances appear anywhere.
 
 A partition that refines another by splitting a few of its blocks can be
 derived from it (``SigmaAlgebra._split``): the kept blocks are the same
-frozenset objects, so ``refines`` finds them among the coarser blocks by a
-set lookup that stops at the same object, and tests only the new blocks
-for inclusion.  The derived partition's atom table is still a full copy,
-one O(atoms) step per derived partition.
+frozenset objects, and the derived partition records the one it was
+derived from, so ``refines`` accepts it against that parent at once, as
+``_split`` has already checked the split.  Against any other partition
+``refines`` finds shared blocks among the coarser blocks by a set lookup
+that stops at the same object, and tests only the other blocks for
+inclusion.  The derived partition's atom table is still a full copy, one
+O(atoms) step per derived partition.
 """
 
 from __future__ import annotations
@@ -53,8 +56,10 @@ def parse_rational(text) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical "p/q" form, denominator always present (e.g. "0/1")."""
-    value = Fraction(value)
+    """Canonical "p/q" form, denominator always present (e.g. "0/1").  A
+    ``Fraction`` is read as given; other values are converted."""
+    if type(value) is not Fraction:
+        value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
 
 
@@ -112,7 +117,9 @@ class SigmaAlgebra:
     """A finite sigma-algebra, represented by its partition into blocks.
 
     A set is measurable exactly when it is a union of blocks, which makes
-    refinement between sigma-algebras a plain partition relation.
+    refinement between sigma-algebras a plain partition relation.  A
+    partition built here records no parent; one made by ``_split`` records
+    the partition it was derived from.
     """
 
     blocks: tuple[frozenset, ...]
@@ -130,6 +137,7 @@ class SigmaAlgebra:
         object.__setattr__(self, "blocks", tuple(sorted(blocks, key=min)))
         object.__setattr__(self, "_block_of", block_of)
         object.__setattr__(self, "_universe", frozenset(block_of))
+        object.__setattr__(self, "_parent", None)
 
     def _split(self, blocks) -> SigmaAlgebra | None:
         """The partition into ``blocks``, derived from this one, or None if
@@ -138,10 +146,12 @@ class SigmaAlgebra:
         others are new, and the check runs on them alone: they must be
         nonempty, pairwise disjoint, each inside one block that is not kept,
         and together cover every block that is not kept.  The result shares
-        the kept blocks and the universe.  Its atom table is this one's,
-        copied and then updated on the new blocks' atoms, and its blocks are
-        sorted by least atom again: these two steps still cost O(atoms).
-        With no new block it is this partition."""
+        the kept blocks and the universe, and records this partition as its
+        parent, so ``refines`` accepts it against this one without a second
+        check.  Its atom table is this one's, copied and then updated on the
+        new blocks' atoms, and its blocks are sorted by least atom again:
+        these two steps still cost O(atoms).  With no new block it is this
+        partition."""
         own = set(map(id, self.blocks))
         kept = {id(b) for b in blocks if id(b) in own}
         new = [b for b in blocks if id(b) not in own]
@@ -168,6 +178,7 @@ class SigmaAlgebra:
         object.__setattr__(out, "blocks", tuple(sorted(blocks, key=min)))
         object.__setattr__(out, "_block_of", block_of)
         object.__setattr__(out, "_universe", self._universe)
+        object.__setattr__(out, "_parent", self)
         return out
 
     @property
@@ -211,8 +222,9 @@ def refines(finer: SigmaAlgebra, coarser: SigmaAlgebra) -> bool:
     it is one of the coarser blocks (a set lookup, which finds a shared
     block object at once) or sits inside the coarser block of any one of
     its atoms; only the blocks that are not shared take the second test.
-    A partition refines itself at once."""
-    if finer is coarser:
+    A partition refines itself, and a partition derived from ``coarser`` by
+    ``_split`` refines it, at once."""
+    if finer is coarser or finer._parent is coarser:
         return True
     if finer.universe is not coarser.universe and finer.universe != coarser.universe:
         return False

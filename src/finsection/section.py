@@ -94,7 +94,9 @@ def _outer(X: FilteredSpace, subset) -> Fraction:
 
 
 def _check_epsilon(eps) -> Fraction:
-    eps = Fraction(eps)
+    """eps as a Fraction (one given as a Fraction is kept), refused if negative."""
+    if type(eps) is not Fraction:
+        eps = Fraction(eps)
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
     return eps
@@ -236,6 +238,7 @@ def _predictable_section(P_set: StochasticSet, X: FilteredSpace, eps: Fraction, 
     if strategy == STRATEGY_DEBUT:
         return _report(X, target, target_outer, debut(P_set, X), STRATEGY_DEBUT)
     last, covered, mass = X.filtration[-1], set(), Fraction(0)
+    floor = target_outer - eps
     k_star = 1  # the empty set keeps the empty scheme's trace
     for k_star, (_, atoms) in enumerate(P_set.slices, 1):
         new = atoms - covered
@@ -243,7 +246,7 @@ def _predictable_section(P_set: StochasticSet, X: FilteredSpace, eps: Fraction, 
             cover = measurable_cover(new, last)
             covered |= cover
             mass += X.space.prob(cover)
-        if mass >= target_outer - eps:
+        if mass >= floor:
             break
     time = debut(StochasticSet.from_slices(dict(P_set.slices[:k_star])), X)
     r = max(len(P_set.slices), 1)
@@ -309,14 +312,15 @@ def _optional_section(O: StochasticSet, X: FilteredSpace, eps: Fraction, strateg
     part, rests = _split_optional(O, X)
     # The predictable part is predictable by construction and never leaves
     # O, so the inner section needs no check and its graph lies inside O.
-    inner = _predictable_section(part, X, eps / 2, strategy)
+    half = eps / 2
+    inner = _predictable_section(part, X, half, strategy)
 
     prob = X.space.prob
     remainder_mass = prob(frozenset().union(*(rest for _, rest in rests)))
     firsts: dict = {}
     covered = Fraction(0)
     for k, rest in rests:
-        if remainder_mass - covered <= eps / 2:
+        if remainder_mass - covered <= half:
             break
         new = rest.difference(firsts)  # the atoms no earlier rest covers
         firsts.update(dict.fromkeys(new, k))

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -370,12 +371,42 @@ def test_souslin_eval_rejects_multiple_schemes(capsys):
     assert code == 4
 
 
-def test_reads_from_stdin(capsys, monkeypatch):
-    import io
+def binary_stdin(data: bytes):
+    """A stdin backed by a byte buffer, with the text layer a POSIX
+    process gets under the C locale: undecodable bytes pass as surrogates,
+    and line ends are not translated."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n")
 
-    monkeypatch.setattr(sys, "stdin", io.StringIO(Path(FIX_A).read_text()))
+
+def test_reads_from_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", binary_stdin(Path(FIX_A).read_bytes()))
     report = run_json(capsys, ["validate"])
     assert report["status"] == "ok"
+
+
+@pytest.mark.parametrize(
+    "raw, line",
+    [
+        pytest.param(
+            Path(FIX_A).read_bytes().replace(b'"w2"', b'"w\xff"'),
+            "parse error: document is not UTF-8: byte 0xff at offset 32",
+            id="not-utf-8",
+        ),
+        # text-mode line ends: the offset counts each CRLF as one character
+        pytest.param(
+            b'{\r\n  "space": {},\r\n  "grid": [,]\r\n}\r\n',
+            "parse error: invalid JSON: Expecting value: line 3 column 12 (char 28)",
+            id="crlf-syntax-error",
+        ),
+    ],
+)
+def test_stdin_is_decoded_like_a_file(capsys, monkeypatch, tmp_path, raw, line):
+    path = tmp_path / "doc.json"
+    path.write_bytes(raw)
+    from_file = run_cli(capsys, ["validate", str(path)])
+    monkeypatch.setattr(sys, "stdin", binary_stdin(raw))
+    from_stdin = run_cli(capsys, ["validate"])
+    assert from_file == from_stdin == (2, "", line + "\n")
 
 
 def test_pretty_format_is_valid_json(capsys):

@@ -74,7 +74,7 @@ def argvs(draw):
 
 def run(argv, doc):
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+    with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(doc).encode()), encoding="utf-8")):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)

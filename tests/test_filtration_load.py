@@ -148,6 +148,14 @@ def add_empty_block(rng, parts):
     part.insert(rng.randint(0, len(part)), [])
 
 
+def repeat_step(rng, parts):
+    """Step k becomes a copy of step k - 1's literal, which a later
+    mutation may break on either side."""
+    if len(parts) > 1:
+        k = rng.randrange(1, len(parts))
+        parts[k] = copy.deepcopy(parts[k - 1])
+
+
 MUTATIONS = [
     reorder_blocks,
     reorder_atoms,
@@ -160,6 +168,7 @@ MUTATIONS = [
     drop_block,
     add_unknown_atom,
     add_empty_block,
+    repeat_step,
 ]
 
 
@@ -211,6 +220,34 @@ def test_each_refused_split_gets_the_per_partition_lines(before, after):
     doc = document(sorted({a for b in before for a in b}), [before, after])
     lines = per_partition(doc)[1]
     assert lines
+    assert build_document(doc) == (None, lines)
+
+
+# --------------------------------------------------------- repeated steps
+
+
+def test_a_repeated_step_is_the_step_before():
+    parts = [[list("abcd")], [["a", "b"], ["c", "d"]], [["a", "b"], ["c", "d"]], [["a", "b"], ["c", "d"]]]
+    built, violations = build_document(document("abcd", parts))
+    assert violations == []
+    filtration = built.X.filtration
+    assert filtration[0] is not filtration[1]
+    assert all(filtration[k] is filtration[1] for k in range(1, len(parts)))
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        pytest.param([[list("abcd")], [["a", "b"], ["b", "c", "d"]], [["a", "b"], ["b", "c", "d"]]], id="overlap"),
+        pytest.param([[["a", "b"], []], [["a", "b"], []], [["a", "b"], []]], id="empty-block-from-step-0"),
+        pytest.param([[list("abcd")], [list("abcz")], [list("abcz")]], id="unknown-atom"),
+        pytest.param([[list("abcz")], [list("abcz")], [["a"], ["b", "c", "z"]]], id="unknown-atom-from-step-0"),
+    ],
+)
+def test_a_repeated_invalid_step_gets_one_line_per_step(parts):
+    doc = document("abcd", parts)
+    lines = per_partition(doc)[1]
+    assert len(lines) >= 2
     assert build_document(doc) == (None, lines)
 
 

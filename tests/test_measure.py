@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsection import (
+    FilteredSpace,
     SampleSpace,
     SigmaAlgebra,
+    TimeGrid,
     discrete_sigma,
     format_rational,
     generate_sigma,
@@ -208,6 +210,52 @@ def test_block_lookups_match_block_scans_exhaustive():
             cover = frozenset().union(*(b for b in sigma.blocks if b & A))
             assert measurable_cover(A, sigma) == cover
             assert is_measurable(A, sigma) == all(b <= A or not b & A for b in sigma.blocks)
+
+
+# ----------------------------------------------------- derived partitions
+
+
+def derive(parent, blocks):
+    """``parent._split`` of ``blocks``, each block equal to one of the
+    parent's passed as the parent's own object."""
+    own = {b: b for b in parent.blocks}
+    return parent._split([own.get(frozenset(b), frozenset(b)) for b in blocks])
+
+
+def test_refines_takes_a_derived_partition_at_once_and_others_the_general_way():
+    # every split of every partition of four atoms, against every partition
+    sigmas = [SigmaAlgebra(p) for p in all_partitions(tuple("abcd"))]
+    for parent in sigmas:
+        for child in sigmas:
+            if not oracle_refines(child, parent):
+                continue
+            derived = derive(parent, child.blocks)
+            assert derived.blocks == child.blocks
+            assert refines(derived, parent)
+            # the parent refines a derived partition only when nothing was split
+            assert refines(parent, derived) == (derived.blocks == parent.blocks)
+            for other in sigmas:
+                assert refines(derived, other) == oracle_refines(derived, other)
+                assert refines(other, derived) == oracle_refines(other, derived)
+
+
+def test_a_built_partition_records_no_parent():
+    parent = SigmaAlgebra([frozenset("ab"), frozenset("cd")])
+    assert SigmaAlgebra(derive(parent, ["a", "b", "cd"]).blocks)._parent is None
+    assert derive(parent, ["a", "b", "cd"])._parent is parent
+    assert derive(parent, ["ab", "cd"]) is parent
+
+
+def test_a_filtration_through_a_derived_partition_is_checked_against_its_own_step():
+    parent = SigmaAlgebra([frozenset("ab"), frozenset("cd")])
+    derived = derive(parent, ["a", "b", "cd"])
+    other = SigmaAlgebra([frozenset("ac"), frozenset("bd")])
+    assert not refines(derived, other)
+    space = SampleSpace.uniform("abcd")
+    grid = TimeGrid((0, 1, 2))
+    assert FilteredSpace(space, grid, (trivial_sigma("abcd"), parent, derived)).filtration[2] is derived
+    with pytest.raises(ValueError, match=r"filtration\[2\] does not refine filtration\[1\]"):
+        FilteredSpace(space, grid, (trivial_sigma("abcd"), other, derived))
 
 
 # ------------------------------------------------------------ outer measure

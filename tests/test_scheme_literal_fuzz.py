@@ -69,7 +69,7 @@ def eval_document(literal):
         "schemes": {"S": literal},
     }
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(json.dumps(doc))):
+    with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(doc).encode()), encoding="utf-8")):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["souslin", "eval", "--scheme", "S"])
     return code, out.getvalue(), err.getvalue()

@@ -9,7 +9,9 @@ and from round to round, so both see the same stretches of a machine
 whose speed drifts.  An op whose (exit code, stdout, stderr) differs
 between the sides stops the run with exit code 1.  Each round prints the
 ratio of B's total call time to A's; the last line gives their median,
-where below 1 means B is faster.
+where below 1 means B is faster, the number of rounds B was faster in,
+and the lower and upper quartiles of the ratios, so it shows whether B
+wins round after round by more than the rounds spread.
 
 It is meant for sizing a change while it is written; performance claims
 come from ``bench/run.py``.  Run it from anywhere:
@@ -107,7 +109,12 @@ def main(argv=None) -> int:
                     return 1
             ratios.append(seconds[1] / seconds[0])
             print(f"round {r + 1}: A {seconds[0]:.3f} s, B {seconds[1]:.3f} s, B/A {ratios[-1]:.3f}", flush=True)
-    print(f"median B/A over {len(ratios)} rounds of {len(argvs)} ops: {statistics.median(ratios):.3f}")
+    wins = sum(ratio < 1 for ratio in ratios)
+    q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
+    print(
+        f"median B/A over {len(ratios)} rounds of {len(argvs)} ops: {statistics.median(ratios):.3f}; "
+        f"B faster in {wins} of {len(ratios)} rounds; B/A quartiles {q1:.3f}-{q3:.3f}"
+    )
     return 0
 
 
