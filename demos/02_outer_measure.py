@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from finsection import (
     SampleSpace,
-    generate_sigma,
+    SigmaAlgebra,
     is_measurable,
     measurable_cover,
     outer_measure,
@@ -17,9 +17,9 @@ from finsection import (
 
 space = SampleSpace(("a", "b", "c", "d"), (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)))
 
-# generate_sigma groups atoms by their membership signature, giving the
-# coarsest partition making every listed set measurable.
-sigma = generate_sigma(space.atoms, [{"a", "b"}])
+# A sigma-algebra is given by its partition: here {a, b} and its complement,
+# the coarsest partition under which {a, b} is measurable.
+sigma = SigmaAlgebra((frozenset({"a", "b"}), frozenset({"c", "d"})))
 print("blocks:", [sorted(b) for b in sigma.blocks])
 
 target = {"a", "c"}

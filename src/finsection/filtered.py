@@ -112,9 +112,6 @@ class FilteredSpace:
     def n_times(self) -> int:
         return len(self.grid)
 
-    def sigma_at(self, k: int) -> SigmaAlgebra:
-        return self.filtration[k]
-
     def lookback(self, k: int) -> SigmaAlgebra:
         """The sigma-algebra one step before index k (itself at k = 0)."""
         return self.filtration[max(k - 1, 0)]
@@ -199,9 +196,6 @@ class StochasticSet:
     @property
     def cells(self) -> frozenset:
         return frozenset((a, k) for k, atoms in self.slices for a in atoms)
-
-    def slice_at(self, k: int) -> frozenset:
-        return dict(self.slices).get(k, frozenset())
 
     def __or__(self, other):
         out = dict(self.slices)
@@ -354,7 +348,7 @@ def is_set_of_kind(S: StochasticSet, X: FilteredSpace, kind: str) -> bool:
     if kind not in ("predictable", "optional"):
         raise ValueError(f"unknown stochastic set kind {kind!r}")
     _check_cells(S, X)
-    sigma_for = X.sigma_at if kind == "optional" else X.lookback
+    sigma_for = X.filtration.__getitem__ if kind == "optional" else X.lookback
     return all(is_measurable(atoms, sigma_for(k)) for k, atoms in S.slices)
 
 

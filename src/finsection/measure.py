@@ -9,10 +9,8 @@ derived from it (``SigmaAlgebra._split``): the kept blocks are the same
 frozenset objects, and the derived partition records the one it was
 derived from, so ``refines`` accepts it against that parent at once, as
 ``_split`` has already checked the split.  Against any other partition
-``refines`` finds shared blocks among the coarser blocks by a set lookup
-that stops at the same object, and tests only the other blocks for
-inclusion.  The derived partition's atom table is still a full copy, one
-O(atoms) step per derived partition.
+``refines`` tests every block for inclusion.  The derived partition's
+atom table is still a full copy, one O(atoms) step per derived partition.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ __all__ = [
     "format_rational",
     "trivial_sigma",
     "discrete_sigma",
-    "generate_sigma",
     "refines",
     "is_measurable",
     "measurable_cover",
@@ -92,14 +89,6 @@ class SampleSpace:
             raise ValueError("weights must sum to exactly 1")
         object.__setattr__(self, "_denominator", denominator)
         object.__setattr__(self, "_numerator_of", dict(zip(self.atoms, numerators)))
-
-    @classmethod
-    def uniform(cls, atoms) -> "SampleSpace":
-        atoms = tuple(atoms)
-        return cls(atoms, tuple(Fraction(1, len(atoms)) for _ in atoms))
-
-    def weight(self, atom: str) -> Fraction:
-        return Fraction(self._numerator_of[atom], self._denominator)
 
     def prob(self, subset) -> Fraction:
         """Exact probability of a set of atoms."""
@@ -185,12 +174,6 @@ class SigmaAlgebra:
     def universe(self) -> frozenset:
         return self._universe
 
-    def block_of(self, atom) -> frozenset:
-        """The block holding the atom."""
-        if atom not in self._block_of:
-            raise ValueError(f"atom {atom!r} not covered by the partition")
-        return self._block_of[atom]
-
 
 def trivial_sigma(atoms) -> SigmaAlgebra:
     return SigmaAlgebra((frozenset(atoms),))
@@ -200,36 +183,18 @@ def discrete_sigma(atoms) -> SigmaAlgebra:
     return SigmaAlgebra(tuple(frozenset((a,)) for a in atoms))
 
 
-def generate_sigma(atoms, family) -> SigmaAlgebra:
-    """Coarsest partition of ``atoms`` under which every family member is a
-    union of blocks: atoms are grouped by their membership signature.
-    Idempotent, and the empty family yields the trivial partition."""
-    atoms = tuple(atoms)
-    members = [frozenset(m) for m in family]
-    for member in members:
-        if not member <= set(atoms):
-            raise ValueError("family members must be subsets of the atoms")
-    groups: dict[tuple[bool, ...], set] = {}
-    for atom in atoms:
-        signature = tuple(atom in member for member in members)
-        groups.setdefault(signature, set()).add(atom)
-    return SigmaAlgebra(tuple(frozenset(g) for g in groups.values()))
-
-
 def refines(finer: SigmaAlgebra, coarser: SigmaAlgebra) -> bool:
     """True iff every block of ``finer`` sits inside a block of ``coarser``.
     Over one universe a block sits inside some coarser block exactly when
-    it is one of the coarser blocks (a set lookup, which finds a shared
-    block object at once) or sits inside the coarser block of any one of
-    its atoms; only the blocks that are not shared take the second test.
-    A partition refines itself, and a partition derived from ``coarser`` by
-    ``_split`` refines it, at once."""
+    it sits inside the coarser block of any one of its atoms.  A partition
+    refines itself, and a partition derived from ``coarser`` by ``_split``
+    refines it, at once."""
     if finer is coarser or finer._parent is coarser:
         return True
-    if finer.universe is not coarser.universe and finer.universe != coarser.universe:
+    if finer.universe != coarser.universe:
         return False
     table = coarser._block_of
-    return all(fb <= table[next(iter(fb))] for fb in set(finer.blocks).difference(coarser.blocks))
+    return all(fb <= table[next(iter(fb))] for fb in finer.blocks)
 
 
 def _blocks_meeting(subset: frozenset, sigma: SigmaAlgebra) -> set:

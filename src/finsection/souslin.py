@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, product, repeat
 from math import isqrt
+from operator import and_, or_
 
 __all__ = [
     "Paving",
@@ -254,19 +255,17 @@ def _check_budget(name: str, depth: int, branching: int):
         raise ValueError(f"{name}: a depth {depth} x branching {branching} scheme has over {_ENTRY_BUDGET} index entries")
 
 
-def _shared_paving(schemes, paving):
+def _shared_paving(schemes) -> Paving:
     """The first scheme's paving, once every scheme's paving has its ground
     in the same order and the same members, listed in any order."""
-    if schemes:
-        first = schemes[0].paving
-        members = set(first.member_masks)
-        for s in schemes[1:]:
-            if s.paving.ground != first.ground or set(s.paving.member_masks) != members:
-                raise ValueError("merged schemes must share one paving")
-        return first
-    if paving is None:
-        raise ValueError("an empty merge needs an explicit paving")
-    return paving
+    if not schemes:
+        raise ValueError("a merge needs at least one scheme")
+    first = schemes[0].paving
+    members = set(first.member_masks)
+    for s in schemes[1:]:
+        if s.paving.ground != first.ground or set(s.paving.member_masks) != members:
+            raise ValueError("merged schemes must share one paving")
+    return first
 
 
 def _read_through(source: SouslinScheme, axes, full: int) -> list:
@@ -302,18 +301,16 @@ def _store_level(nodes: dict, length: int, branching: int, values: list, full: i
     nodes.update(compress(zip(indices, values), map(full.__ne__, values)))
 
 
-def merge_union(schemes, paving: Paving | None = None) -> SouslinScheme:
+def merge_union(schemes) -> SouslinScheme:
     """One scheme whose evaluation is the union of the inputs' evaluations.
 
     The first index entry is split by the pairing bijection into a (branch,
     scheme) pair and routed to that scheme's first coordinate; deeper
     entries pass through unchanged.  Bounds are recomputed through theta,
     so they grow quadratically with the number of inputs; intended for
-    short lists.  An empty input list yields the empty scheme.
+    short lists.  An empty list is refused.
     """
-    paving = _shared_paving(schemes, paving)
-    if not schemes:
-        return empty_scheme(paving)
+    paving = _shared_paving(schemes)
     count = len(schemes)
     depth = max(s.depth for s in schemes)
     branching = max(theta(s.branching, m) for m, s in enumerate(schemes, start=1))
@@ -341,18 +338,16 @@ def merge_union(schemes, paving: Paving | None = None) -> SouslinScheme:
     return SouslinScheme(paving, depth, branching, nodes)
 
 
-def merge_intersection(schemes, paving: Paving | None = None) -> SouslinScheme:
+def merge_intersection(schemes) -> SouslinScheme:
     """One scheme whose evaluation is the intersection of the inputs'.
 
     Depth l is split by the pairing bijection into a (level, scheme) pair;
     the node at depth l reads that scheme's level-many coordinates from the
     index positions the bijection reserves for it.  Bounds grow like the
-    square of the input count; intended for short lists.  An empty input
-    list yields the empty scheme.
+    square of the input count; intended for short lists.  An empty list is
+    refused.
     """
-    paving = _shared_paving(schemes, paving)
-    if not schemes:
-        return empty_scheme(paving)
+    paving = _shared_paving(schemes)
     count = len(schemes)
     branching = max(s.branching for s in schemes)
     depth = max(theta(s.depth, m) for m, s in enumerate(schemes, start=1))
@@ -379,15 +374,19 @@ def monotonize(s: SouslinScheme) -> SouslinScheme:
     the paving to be closed under finite unions and intersections so every
     rebuilt value stays representable.
 
-    Write T(p, t) for that union below the prefix p, over the tuples n <= t
-    appended to p, so the node at h is T((), h).  Splitting on the first
-    entry of n gives
+    The rebuild goes level by level.  In product order the parent of index
+    q of length l is index q // b of length l - 1, so the intersections
+    along the prefixes extend those one level up:
 
-        T(p, (t1,) + rest) = T(p, (t1 - 1,) + rest) | (s(p + (t1,)) & T(p + (t1,), rest))
+        inter[q] = inter_prev[q // b] & s(index q)
 
-    with T(p, (0,) + rest) empty and T(p, ()) full.  For each length l the
-    tables are filled from the longest prefixes up, l + 1 tables of b^l
-    masks, so the rebuild costs the sum of l * b^l mask operations.
+    The dominated union is then one running OR along each coordinate.  Each
+    of l rounds moves the last coordinate to the front (one slice per
+    entry), bringing another to the back, where its entries sit at stride
+    b, and scans it with b - 1 slice ORs; after l rounds every coordinate
+    is scanned and product order is back.  At branching 1 no index
+    dominates another, so the scan is skipped.  The rebuild costs the sum
+    of l * b^l mask operations.
     """
     _check_budget("monotonize", s.depth, s.branching)
     members = len(s.paving.member_masks)
@@ -397,24 +396,18 @@ def monotonize(s: SouslinScheme) -> SouslinScheme:
         raise ValueError("monotonize requires a union/intersection-closed paving")
     full = s.paving.full_mask
     b = s.branching
-    # levels[j]: the masks at every index of length j + 1, in product order,
-    # read once for all the lengths that need them
-    levels = [list(map(s.nodes.get, product(range(1, b + 1), repeat=j + 1), repeat(full))) for j in range(s.depth)]
+    entries = range(1, b + 1)
     nodes = {}
+    inter = [full]
     for length in range(1, s.depth + 1):
-        # T over (prefix of length j, bound of length `length` - j), flat in
-        # product order; with j = length every entry is T(p, ()) = full
-        table = [full] * b**length
-        for j in range(length - 1, -1, -1):
-            size = b ** (length - j - 1)
-            out = []
-            for q, mask in enumerate(levels[j]):
-                if q % b == 0:
-                    acc = [0] * size
-                below = table[q * size : (q + 1) * size]
-                acc = [a | (mask & x) for a, x in zip(acc, below)]
-                out += acc
-            table = out
+        masks = map(s.nodes.get, product(entries, repeat=length), repeat(full))
+        inter = list(map(and_, chain.from_iterable(map(repeat, inter, repeat(b))), masks))
+        table = inter
+        if b > 1:
+            for _ in range(length):
+                table = list(chain.from_iterable(table[e::b] for e in range(b)))
+                for e in range(1, b):
+                    table[e::b] = map(or_, table[e - 1 :: b], table[e::b])
         _store_level(nodes, length, b, table, full)
     return SouslinScheme(s.paving, s.depth, s.branching, nodes)
 

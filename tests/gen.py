@@ -111,7 +111,7 @@ def predictable_sets_of(X: FilteredSpace):
 
 
 def optional_sets_of(X: FilteredSpace):
-    choices = [measurable_subsets(X.sigma_at(k)) for k in range(X.n_times)]
+    choices = [measurable_subsets(X.filtration[k]) for k in range(X.n_times)]
     yield from _sets_from_slices(X, choices)
 
 
@@ -191,7 +191,7 @@ def random_predictable_set(rng, X: FilteredSpace) -> StochasticSet:
 def random_optional_set(rng, X: FilteredSpace) -> StochasticSet:
     cells = set()
     for k in range(X.n_times):
-        for a in _random_union_of_blocks(rng, X.sigma_at(k)):
+        for a in _random_union_of_blocks(rng, X.filtration[k]):
             cells.add((a, k))
     return StochasticSet(frozenset(cells))
 

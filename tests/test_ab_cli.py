@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = ROOT / "tools" / "ab_cli.py"
 
@@ -44,6 +46,14 @@ def test_a_checkout_against_itself_agrees_and_prints_a_median():
 
 def test_the_summary_counts_wins_and_spans_the_quartiles_over_several_rounds():
     check_summary(3)
+
+
+@pytest.mark.parametrize("rounds", [0, -1])
+def test_fewer_than_one_round_is_refused_before_any_op_runs(rounds):
+    result = run_ab(ROOT, ROOT, rounds)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"error: --rounds must be at least 1, not {rounds}\n")
 
 
 def test_a_checkout_whose_output_differs_exits_1(tmp_path):

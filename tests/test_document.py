@@ -97,5 +97,5 @@ def test_valid_set_literals_load_as_their_cells():
     built, violations = build_document(doc)
     assert violations == []
     assert built.sets["S"] == StochasticSet({("w1", 0), ("w3", 1), ("w1", 2), ("w2", 2)})
-    assert built.sets["S"].slice_at(2) == {"w1", "w2"}
+    assert dict(built.sets["S"].slices).get(2, frozenset()) == {"w1", "w2"}
     assert built.sets["E"] == StochasticSet.empty()

@@ -185,7 +185,7 @@ def oracle_slices(cells) -> dict:
 
 
 def oracle_space() -> FilteredSpace:
-    space = SampleSpace.uniform(ORACLE_ATOMS)
+    space = SampleSpace(ORACLE_ATOMS, (Fraction(1, len(ORACLE_ATOMS)),) * len(ORACLE_ATOMS))
     grid = TimeGrid(tuple(Fraction(k) for k in range(ORACLE_TIMES)))
     return FilteredSpace(space, grid, (discrete_sigma(ORACLE_ATOMS),) * ORACLE_TIMES)
 
@@ -201,7 +201,7 @@ def test_slices_agree_with_plain_cell_sets(ca, cb):
     assert A.cells == ca
     assert StochasticSet(A.cells) == A
     for k in range(-1, ORACLE_TIMES + 1):
-        assert A.slice_at(k) == {a for a, j in ca if j == k}
+        assert dict(A.slices).get(k, frozenset()) == {a for a, j in ca if j == k}
     assert (A | B).cells == ca | cb
     assert (A & B).cells == ca & cb
     assert (A - B).cells == ca - cb
@@ -327,7 +327,7 @@ def test_remaining_closure_properties():
         tau = gen.random_stopping_time(rng, X)
         A = frozenset(a for a in X.atoms if rho.values[a] <= tau.values[a])
         assert is_predictable_time(restrict(rho, A), X)
-        block = next(iter(X.sigma_at(0).blocks))
+        block = next(iter(X.filtration[0].blocks))
         assert is_predictable_time(restrict(constant_time(X.atoms, 0), block), X)
 
 

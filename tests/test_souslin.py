@@ -1,5 +1,6 @@
 import random
 import re
+import time
 from itertools import product
 
 import pytest
@@ -239,12 +240,10 @@ def test_merge_triple_lists():
         assert eval_of(merge_intersection(schemes)) == evals[0] & evals[1] & evals[2]
 
 
-def test_empty_merge_returns_empty_scheme():
-    paving = all_subsets_paving(GROUND3)
-    assert eval_of(merge_union([], paving=paving)) == frozenset()
-    assert eval_of(merge_intersection([], paving=paving)) == frozenset()
-    with pytest.raises(ValueError):
-        merge_union([])
+def test_empty_merge_is_refused():
+    for merge in (merge_union, merge_intersection):
+        with pytest.raises(ValueError, match="^a merge needs at least one scheme$"):
+            merge([])
 
 
 def test_merge_rejects_mixed_pavings():
@@ -515,6 +514,28 @@ def test_monotonize_matches_dominated_box_walk():
         assert eval_of(out) == oracle_eval_of(s)
         kinds.add(eval_of(s) == frozenset(paving.ground))
     assert kinds == {True, False}
+
+
+def test_monotonize_of_a_deep_chain_is_its_running_intersection():
+    # at branching 1 the only index of length l is (1,) * l, which dominates
+    # nothing else, so its rebuilt node is the intersection along the chain;
+    # depth 2047 writes 2,096,128 index entries, inside the budget
+    rng = random.Random(2047)
+    paving = all_subsets_paving(GROUND3)
+    full = paving.full_mask
+    masks = [m for m in paving.member_masks if m] + [full] * 40
+    s = SouslinScheme(paving, 2047, 1, {(1,) * length: rng.choice(masks) for length in range(1, 2048) if rng.random() < 0.5})
+    expected, running = {}, full
+    for length in range(1, 2048):
+        running &= s.nodes.get((1,) * length, full)
+        if running != full:
+            expected[(1,) * length] = running
+    assert 0 < len(expected) < 2047  # the chain leaves the full set and goes on
+    t0 = time.perf_counter()
+    out = monotonize(s)
+    elapsed = time.perf_counter() - t0
+    assert out.nodes == expected
+    assert elapsed < 0.5, f"monotonize at depth 2047, branching 1 took {elapsed:.2f} s"
 
 
 def explicit_union_nodes(schemes):

@@ -75,7 +75,10 @@ def parse_args(argv=None):
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=10)
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error(f"--rounds must be at least 1, not {args.rounds}")
+    return args
 
 
 def main(argv=None) -> int:
