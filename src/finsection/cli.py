@@ -12,7 +12,7 @@ import json
 import sys
 
 from .document import DocumentParseError, build_document, parse_document, time_to_literal
-from .filtered import classify_time, graph
+from .filtered import INF, classify_time
 from .measure import format_rational, parse_rational
 from .section import (
     STRATEGY_DEBUT,
@@ -151,22 +151,18 @@ def _classify_report(args, doc) -> dict:
         "acc_part": time_to_literal(part.acc_part),
         "cover": [time_to_literal(rho) for rho in part.cover],
         "ti_finite_mass": format_rational(ti_mass),
-        "covered": sorted(
-            f"{atom}@{k}" for atom, k in graph(part.acc_part).cells
-        ),
+        "covered": sorted(f"{atom}@{k}" for atom, k in part.acc_part.values.items() if k != INF),
     }
 
 
 def _souslin_report(args, doc) -> dict:
     schemes = [_lookup(doc.schemes, name, "scheme") for name in args.scheme_names]
     op = args.operation
+    if op in ("eval", "monotonize") and len(schemes) != 1:
+        raise ValueError(f"souslin {op} takes exactly one scheme")
     if op == "eval":
-        if len(schemes) != 1:
-            raise ValueError("souslin eval takes exactly one scheme")
         result = schemes[0]
     elif op == "monotonize":
-        if len(schemes) != 1:
-            raise ValueError("souslin monotonize takes exactly one scheme")
         result = monotonize(schemes[0])
     elif op == "union":
         result = merge_union(schemes)
@@ -185,16 +181,14 @@ def _souslin_report(args, doc) -> dict:
 
 
 def main(argv=None) -> int:
-    # the document path is an optional trailing positional for every
-    # data-consuming subcommand; parse_known_args keeps it order-free
+    # a data subcommand takes the document path as an optional trailing
+    # positional, theta takes none; parse_known_args keeps it order-free
     args, extra = _PARSER.parse_known_args(argv)
+    if len(extra) > (args.command != "theta") or (extra and extra[0].startswith("-")):
+        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "theta":
-        if extra:
-            _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
         _emit(theta(args.k, args.m), args.format)
         return EXIT_OK
-    if len(extra) > 1 or (extra and extra[0].startswith("-")):
-        _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     document_path = extra[0] if extra else None
 
     try:

@@ -17,13 +17,13 @@ loaded without a fault, is that step's partition object: one list
 comparison, and nothing built or checked again, as ``_split`` with no new
 block returns the partition it splits.  ``FilteredSpace`` then accepts a
 repeated or split step against the one before at once, since it is the
-same object or records it as its parent (``measure.refines``).
+same object or records it as its parent (``measure.refines``), after one
+by-value comparison of its universe with the atom set.
 
-Weights, set literals and the values of times are checked in bulk: a
-builtin pass over a column, or over its distinct types, accepts it, and
-each distinct weight text is parsed once.  The per-item loop runs only
-when that check fails, to name the first bad item with the message it
-always gave.
+Weights and set literals are checked in bulk: a builtin pass over a
+column, or over its distinct types, accepts it, and each distinct weight
+text is parsed once; a per-item loop names the first bad item.  Time
+values are checked one at a time.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import itemgetter
 
-from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults, _finite, _index_types
+from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults, _finite
 from .measure import SampleSpace, SigmaAlgebra, parse_rational
 from .souslin import SouslinScheme, scheme_from_literal
 
@@ -108,6 +108,12 @@ def time_from_literal(obj, atoms) -> RandomTime:
 
 def time_to_literal(tau: RandomTime) -> dict:
     return {atom: ("inf" if v == INF else int(v)) for atom, v in tau.values.items()}
+
+
+def _index_types(types) -> bool:
+    """True iff every type in ``types`` is an int type other than bool:
+    ``isinstance`` over the distinct types of a column of values."""
+    return all(issubclass(t, int) and not issubclass(t, bool) for t in types)
 
 
 def _set_literal_slices(name, literal) -> dict:

@@ -4,7 +4,8 @@ Times map atoms to grid indices or infinity (``INF``).  A time is a
 stopping (predictable) time exactly when its graph is an optional
 (predictable) set, so the time predicates are :func:`is_set_of_kind` on the
 graph.  Predictability is the discrete criterion: {tau <= t_k} measurable
-one step earlier for k >= 1, and {tau = t_0} measurable at t_0.
+one step earlier for k >= 1, and {tau = t_0} measurable at t_0.  Time
+values are checked one at a time; universes are compared by value.
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ def _finite(values):
     return compress(values, map(is_not, values, repeat(INF)))
 
 
-def _index_types(types) -> bool:
-    """True iff every type in ``types`` is an int type other than bool:
-    ``isinstance`` over the distinct types of a column of values."""
-    return all(issubclass(t, int) and not issubclass(t, bool) for t in types)
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Strictly increasing nonnegative rational time labels; index-based
@@ -92,9 +87,6 @@ class FilteredSpace:
         if len(self.filtration) != len(self.grid):
             raise ValueError("need exactly one sigma-algebra per grid point")
         universe = frozenset(self.space.atoms)
-        if self.filtration[0].universe == universe:
-            # one object, so the partitions sharing it compare by identity
-            universe = self.filtration[0].universe
         object.__setattr__(self, "_atom_set", universe)
         faults = _filtration_faults(universe, self.filtration)
         if faults:
@@ -123,7 +115,7 @@ def _filtration_faults(universe: frozenset, sigmas) -> list[str]:
     lines = [
         f"filtration[{k}] does not partition the atom set"
         for k, s in enumerate(sigmas)
-        if s.universe is not universe and s.universe != universe
+        if s.universe != universe
     ]
     steps = enumerate(zip(sigmas, sigmas[1:]), start=1)
     return lines or [f"filtration[{k}] does not refine filtration[{k - 1}]" for k, (a, b) in steps if not refines(b, a)]
@@ -137,17 +129,10 @@ class RandomTime:
 
     def __post_init__(self):
         vals = dict(self.values)
-        finite = list(_finite(vals.values()))
-        if _index_types(set(map(type, finite))) and min(finite, default=0) >= 0:
-            object.__setattr__(self, "values", vals)
-            return
-        # some value is bad or an infinity other than INF: name or store it
-        for atom, v in self.values.items():
+        for atom, v in vals.items():
             if v == INF:
-                vals[atom] = INF
-            elif isinstance(v, int) and not isinstance(v, bool) and v >= 0:
-                vals[atom] = v
-            else:
+                vals[atom] = INF  # the one INF object, which ``_finite`` skips
+            elif not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
                 raise ValueError(f"bad time value {v!r} for atom {atom!r}")
         object.__setattr__(self, "values", vals)
 

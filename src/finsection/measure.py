@@ -9,8 +9,8 @@ derived from it (``SigmaAlgebra._split``): the kept blocks are the same
 frozenset objects, and the derived partition records the one it was
 derived from, so ``refines`` accepts it against that parent at once, as
 ``_split`` has already checked the split.  Against any other partition
-``refines`` tests every block for inclusion.  The derived partition's
-atom table is still a full copy, one O(atoms) step per derived partition.
+``refines`` compares the universes by value, then tests every block.  The
+derived partition's atom table is a full copy, O(atoms) per partition.
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import accumulate, compress, product
 
 from .filtered import (
@@ -178,11 +177,10 @@ def _souslin_sweep(scheme: SouslinScheme, X: FilteredSpace, eps: Fraction, targe
     coordinate, so each coordinate is the least candidate whose envelope's
     projected outer measure clears target - eps, found by bisection.  The
     bound clears, as its envelope is the last accepted one (at first, the
-    target); each distinct mask is weighed once.
+    target); each envelope it reads is weighed, with no cache.
     """
     depth, branching = scheme.depth, scheme.branching
 
-    @cache
     def weigh(mask: int) -> Fraction:
         return _outer(X, projection(_mask_to_set(X, mask)))
 

@@ -195,10 +195,7 @@ class SouslinScheme:
         if min(index) < 1:
             raise ValueError("scheme index entries must be positive")
         b = self.branching
-        key = tuple(index[: self.depth])
-        if max(key) > b:
-            key = tuple(min(e, b) for e in key)
-        return self.nodes.get(key, self.paving.full_mask)
+        return self.nodes.get(tuple(min(e, b) for e in index[: self.depth]), self.paving.full_mask)
 
 
 def empty_scheme(paving: Paving) -> SouslinScheme:

@@ -501,6 +501,22 @@ def fix_b_scheme_a_with(**fields):
             ["souslin", "monotonize", "--scheme", "A", "--scheme", "B"], lambda d: d, 4,
             "precondition failure: souslin monotonize takes exactly one scheme", id="monotonize-two",
         ),
+        pytest.param(
+            ["souslin", "eval", "--scheme", "A", "--scheme", "B"], lambda d: d, 4,
+            "precondition failure: souslin eval takes exactly one scheme", id="eval-two",
+        ),
+        pytest.param(
+            ["validate", FIX_B, FIX_B], None, 2, f"finsection: error: unrecognized arguments: {FIX_B} {FIX_B}",
+            id="data-second-path",
+        ),
+        pytest.param(
+            ["section", "--kind", "predictable", "--set", "P", FIX_B, "-x"], None, 2,
+            f"finsection: error: unrecognized arguments: {FIX_B} -x", id="data-trailing-option",
+        ),
+        pytest.param(
+            ["souslin", "eval", "--scheme", "A", "-x"], None, 2, "finsection: error: unrecognized arguments: -x",
+            id="data-lone-option",
+        ),
     ],
 )
 def test_each_refusal_exits_with_its_code_and_names_itself(capsys, tmp_path, argv, change, code, line):

@@ -151,6 +151,12 @@ def test_eval_truncation_agrees_with_deep_oracle():
                 key = branch[:k]
                 deep[key] = nodes.get(key[: s.depth], frozenset(s.paving.ground))
         assert eval_of(s) == oracle_eval(s.paving.ground, deep, s.depth + 2, s.branching)
+        # node() reads the same values: an index longer than the depth reads
+        # its depth-long prefix, and an entry above the branching bound
+        # reads the key with that entry clamped to the bound
+        for key, cells in deep.items():
+            above = tuple(e + 3 if e == s.branching else e for e in key)
+            assert s.paving.set_of(s.node(key)) == s.paving.set_of(s.node(above)) == cells
 
 
 def test_eval_deep_single_branch_literal_matches_oracle():
