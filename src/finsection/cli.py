@@ -168,11 +168,11 @@ def _souslin_report(args, doc) -> dict:
         result = merge_union(schemes)
     else:
         result = merge_intersection(schemes)
-    order = {e: i for i, e in enumerate(result.paving.ground)}
+    evaluated = eval_scheme(result)
     report = {
         "operation": op,
         "schemes": list(args.scheme_names),
-        "eval": [str(e) for e in sorted(eval_scheme(result), key=order.get)],
+        "eval": [e for e in result.paving.ground if e in evaluated],
         "monotone": list(check_monotone(result)),
     }
     if op != "eval":
@@ -187,7 +187,11 @@ def main(argv=None) -> int:
     if len(extra) > (args.command != "theta") or (extra and extra[0].startswith("-")):
         _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "theta":
-        _emit(theta(args.k, args.m), args.format)
+        try:
+            _emit(theta(args.k, args.m), args.format)
+        except ValueError:  # json cannot print an int past the interpreter's digit limit
+            print(f"precondition failure: theta value has more than {sys.get_int_max_str_digits()} digits", file=sys.stderr)
+            return EXIT_PRECONDITION
         return EXIT_OK
     document_path = extra[0] if extra else None
 

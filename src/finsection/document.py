@@ -23,18 +23,20 @@ by-value comparison of its universe with the atom set.
 Weights and set literals are checked in bulk: a builtin pass over a
 column, or over its distinct types, accepts it, and each distinct weight
 text is parsed once; a per-item loop names the first bad item.  Time
-values are checked one at a time.
+values are checked once, by ``RandomTime``; a JSON number that does not
+read as a finite float (``NaN``, ``Infinity``, ``1e999``) is a parse error.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import itemgetter
 
-from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults, _finite
+from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults
 from .measure import SampleSpace, SigmaAlgebra, parse_rational
 from .souslin import SouslinScheme, scheme_from_literal
 
@@ -60,9 +62,15 @@ class FixtureDocument:
     schemes: dict
 
 
+def _finite_float(text: str) -> float:  # json's hook for NaN, Infinity and non-integers; 1e999 would load as INF
+    if not math.isfinite(value := float(text)):
+        raise DocumentParseError(f"JSON number {text if len(text) <= 20 else text[:20] + '...'} is not finite")
+    return value
+
+
 def parse_document(text: str) -> dict:
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise DocumentParseError(f"invalid JSON: {exc}") from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit
@@ -93,27 +101,14 @@ def _optional(obj, key, where):
 def time_from_literal(obj, atoms) -> RandomTime:
     if not isinstance(obj, dict):
         raise ValueError("time literal must be an object")
-    values = {}
-    for atom, v in obj.items():
-        if v == "inf":
-            values[atom] = INF
-        elif isinstance(v, int) and not isinstance(v, bool):
-            values[atom] = v
-        else:
-            raise ValueError(f"time value for {atom!r} must be a grid index or \"inf\"")
-    if set(values) != set(atoms):
+    tau = RandomTime({atom: INF if v == "inf" else v for atom, v in obj.items()})  # RandomTime checks each value
+    if tau.values.keys() != set(atoms):
         raise ValueError("time literal must assign every atom exactly once")
-    return RandomTime(values)
+    return tau
 
 
 def time_to_literal(tau: RandomTime) -> dict:
     return {atom: ("inf" if v == INF else int(v)) for atom, v in tau.values.items()}
-
-
-def _index_types(types) -> bool:
-    """True iff every type in ``types`` is an int type other than bool:
-    ``isinstance`` over the distinct types of a column of values."""
-    return all(issubclass(t, int) and not issubclass(t, bool) for t in types)
 
 
 def _set_literal_slices(name, literal) -> dict:
@@ -129,7 +124,9 @@ def _set_literal_slices(name, literal) -> dict:
         ks = [k for _, k in literal]
     except ValueError:  # a pair of the wrong length
         raise DocumentParseError(shape) from None
-    if not (all(map(isinstance, atoms, repeat(str))) and _index_types(set(map(type, ks)))):
+    index_types = set(map(type, ks))  # isinstance over the distinct types of the index column
+    int_indices = all(issubclass(t, int) and not issubclass(t, bool) for t in index_types)
+    if not (all(map(isinstance, atoms, repeat(str))) and int_indices):
         raise DocumentParseError(shape)
     slices: dict[int, list] = {}
     end = 0
@@ -248,7 +245,7 @@ def build_document(obj: dict):
         except ValueError as exc:
             violations.append(f"times.{name}: {exc}")
             continue
-        if grid is not None and max(_finite(tau.values.values()), default=0) >= n_times:
+        if grid is not None and max((v for v in tau.values.values() if v != INF), default=0) >= n_times:
             violations.append(f"times.{name}: value outside the grid")
         else:
             times[name] = tau

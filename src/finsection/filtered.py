@@ -5,15 +5,13 @@ stopping (predictable) time exactly when its graph is an optional
 (predictable) set, so the time predicates are :func:`is_set_of_kind` on the
 graph.  Predictability is the discrete criterion: {tau <= t_k} measurable
 one step earlier for k >= 1, and {tau = t_0} measurable at t_0.  Time
-values are checked one at a time; universes are compared by value.
+values are checked once, by ``RandomTime``; universes are compared by value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress, repeat
-from operator import is_not
 from typing import NamedTuple
 
 from .measure import SampleSpace, SigmaAlgebra, is_measurable, refines
@@ -45,12 +43,6 @@ INF = float("inf")
 # the most atom entries (cover times x atoms) classify_time's cover holds,
 # each one a value its report prints
 _COVER_BUDGET = 1 << 21
-
-
-def _finite(values):
-    """The values that are not the ``INF`` object, as an iterator;
-    ``values`` is read twice, so it is a sequence or a dict view."""
-    return compress(values, map(is_not, values, repeat(INF)))
 
 
 @dataclass(frozen=True)
@@ -123,17 +115,16 @@ def _filtration_faults(universe: frozenset, sigmas) -> list[str]:
 
 @dataclass(frozen=True)
 class RandomTime:
-    """Total map from atoms to grid indices or ``INF``."""
+    """Total map from atoms to grid indices or any value equal to ``INF``."""
 
     values: dict
 
     def __post_init__(self):
         vals = dict(self.values)
         for atom, v in vals.items():
-            if v == INF:
-                vals[atom] = INF  # the one INF object, which ``_finite`` skips
-            elif not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
-                raise ValueError(f"bad time value {v!r} for atom {atom!r}")
+            if v != INF and not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
+                quote = repr(v)  # cut: a document value can be a long string or array
+                raise ValueError(f"bad time value {quote if len(quote) <= 20 else quote[:20] + '...'} for atom {atom!r}")
         object.__setattr__(self, "values", vals)
 
     def finite_support(self) -> frozenset:
@@ -213,7 +204,7 @@ class TimeClassification(NamedTuple):
 def _check_total(tau: RandomTime, X: FilteredSpace):
     if set(tau.values) != set(X.atoms):
         raise ValueError("random time must be total on the space's atoms")
-    if max(_finite(tau.values.values()), default=0) >= X.n_times:
+    if max((v for v in tau.values.values() if v != INF), default=0) >= X.n_times:
         raise ValueError("random time values must be grid indices or INF")
 
 
@@ -322,7 +313,7 @@ def shift(tau: RandomTime, steps: int, X: FilteredSpace) -> RandomTime:
     n = X.n_times
     out = {}
     for atom, v in tau.values.items():
-        out[atom] = INF if v == INF or v + steps >= n else v + steps
+        out[atom] = INF if v + steps >= n else v + steps
     return RandomTime(out)
 
 

@@ -32,6 +32,14 @@ def test_theta_prints_plain_value(capsys):
     assert out == "3\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_theta_prints_a_value_just_under_the_digit_limit(capsys, fmt):
+    k = "9" * 2150
+    code, out, _ = run_cli(capsys, ["--format", fmt, "theta", k, "1"])
+    assert code == 0
+    assert out == f"{(int(k) - 1) ** 2 + 1}\n"
+
+
 def test_theta_via_module_execution():
     result = subprocess.run(
         [sys.executable, "-m", "finsection", "theta", "1", "2"],
@@ -104,8 +112,14 @@ def test_main_called_again_after_an_argv_error_gives_a_lone_calls_bytes(capsys):
         ),
         pytest.param(
             lambda d: d["times"]["tau"].__setitem__("w1", "x"),
-            "times.tau: time value for 'w1' must be a grid index or \"inf\"",
+            "times.tau: bad time value 'x' for atom 'w1'",
             id="time-value-text",
+        ),
+        # RandomTime checks the values in document order and names the first bad one
+        pytest.param(
+            lambda d: d["times"]["tau"].update(w1=-1, w2="x"),
+            "times.tau: bad time value -1 for atom 'w1'",
+            id="time-values-negative-then-text",
         ),
         pytest.param(
             lambda d: d["times"]["tau"].__setitem__("w1", 3), "times.tau: value outside the grid", id="time-past-grid"
@@ -442,7 +456,7 @@ def test_reports_are_byte_identical_across_runs(capsys, argv):
 
 def write_document(tmp_path, doc):
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -452,6 +466,26 @@ def fix_b_with(**fields):
 
 def fix_b_scheme_a_with(**fields):
     return lambda d: {**d, "schemes": {**d["schemes"], "A": {**d["schemes"]["A"], **fields}}}
+
+
+def fix_b_tau_w1(value):
+    return lambda d: {**d, "times": {**d["times"], "tau": {**d["times"]["tau"], "w1": value}}}
+
+
+def fix_b_first_weight(value):
+    return lambda d: {**d, "space": {**d["space"], "probs": [value] + d["space"]["probs"][1:]}}
+
+
+def bare_number(change, text):
+    """A change that writes ``text`` unquoted where ``change`` puts a marker;
+    it returns the document's JSON text, since json.dumps writes no 1e999."""
+    return lambda d: json.dumps(change("<number>")(d)).replace('"<number>"', text)
+
+
+# JSON's non-standard constants, and numbers past the float range
+NOT_FINITE = ("NaN", "Infinity", "-Infinity", "1e999", "-1e999")
+# json cannot print an int of more than the interpreter's 4300 digits; theta(K, 1) has about twice K's digits
+LONG_K = "9" * 2200
 
 
 @pytest.mark.parametrize(
@@ -481,6 +515,35 @@ def fix_b_scheme_a_with(**fields):
         ),
         pytest.param(["validate"], fix_b_with(times={"tau": 3}), 2, "parse error: times.tau must be an object", id="time-int"),
         pytest.param(["validate"], fix_b_with(extra=1), 2, "parse error: unknown document field 'extra'", id="unknown-field"),
+        *[
+            pytest.param(["validate"], bare_number(change, text), 2, f"parse error: JSON number {text} is not finite", id=f"{where}-{text}")
+            for text in NOT_FINITE
+            for where, change in (("time", fix_b_tau_w1), ("weight", fix_b_first_weight))
+        ],
+        pytest.param(
+            ["validate"], bare_number(fix_b_tau_w1, "1" + "0" * 400 + ".5"), 2,
+            "parse error: JSON number 10000000000000000000... is not finite", id="time-long-number",
+        ),
+        # a finite float is a number JSON can hold, so RandomTime refuses it
+        pytest.param(
+            ["section", "--kind", "predictable", "--set", "P"], fix_b_tau_w1(3.0), 3,
+            "invariant violation: times.tau: bad time value 3.0 for atom 'w1'", id="time-float",
+        ),
+        pytest.param(
+            ["section", "--kind", "predictable", "--set", "P"], fix_b_tau_w1("x" * 100_000), 3,
+            "invariant violation: times.tau: bad time value 'xxxxxxxxxxxxxxxxxxx... for atom 'w1'", id="time-long-text",
+        ),
+        pytest.param(
+            ["section", "--kind", "predictable", "--set", "P"], fix_b_tau_w1(list(range(10_000))), 3,
+            "invariant violation: times.tau: bad time value [0, 1, 2, 3, 4, 5, 6... for atom 'w1'", id="time-long-array",
+        ),
+        pytest.param(
+            ["theta", LONG_K, "1"], None, 4, "precondition failure: theta value has more than 4300 digits", id="theta-too-long"
+        ),
+        pytest.param(
+            ["--format", "pretty", "theta", LONG_K, "1"], None, 4,
+            "precondition failure: theta value has more than 4300 digits", id="theta-too-long-pretty",
+        ),
         pytest.param(
             ["section", "--kind", "predictable", "--set", "P"], fix_b_with(times={"tau": {"w1": 1, "w2": 1, "w3": "inf"}}), 3,
             "invariant violation: times.tau: time literal must assign every atom exactly once", id="time-short-an-atom",

