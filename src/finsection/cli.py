@@ -3,11 +3,19 @@ JSON report on stdout.
 
 Exit codes: 0 success, 2 parse failure (bad JSON or document shape),
 3 invariant violation in the document, 4 solver precondition failure.
+
+A call pauses the cyclic garbage collector and restores the state it found
+on every exit: a JSON document holds no cycle, yet the collector re-scans
+the half-built document every few hundred allocations.  In a fresh process,
+``section --kind optional --strategy debut`` on a 5.4 MB document (4096
+atoms x 64 steps) took 0.42-0.57 s with the pause, against 0.61-0.80 s
+without it, at the same 105 MB peak (Python 3.11, shared 2-vCPU machine).
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 
@@ -181,6 +189,16 @@ def _souslin_report(args, doc) -> dict:
 
 
 def main(argv=None) -> int:
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _main(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _main(argv) -> int:
     # a data subcommand takes the document path as an optional trailing
     # positional, theta takes none; parse_known_args keeps it order-free
     args, extra = _PARSER.parse_known_args(argv)

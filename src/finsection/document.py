@@ -68,9 +68,15 @@ def _finite_float(text: str) -> float:  # json's hook for NaN, Infinity and non-
     return value
 
 
+# one decoder for every document: json.loads with hooks builds a new one per call
+_DECODER = json.JSONDecoder(parse_constant=_finite_float, parse_float=_finite_float)
+
+
 def parse_document(text: str) -> dict:
     try:
-        obj = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+        if text.startswith("\ufeff"):  # json.loads's own check, which decode skips
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        obj = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise DocumentParseError(f"invalid JSON: {exc}") from exc
     except ValueError as exc:  # an integer past the interpreter's digit limit

@@ -40,7 +40,8 @@ def parse_rational(text) -> Fraction:
     """Parse a "p/q" (or bare integer) literal of ASCII digits into an exact
     Fraction; the whole string must match, with no surrounding whitespace."""
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
-        raise ValueError(f"not a rational literal: {text!r}")
+        quote = repr(text)  # cut: a document weight or grid label can be a long string
+        raise ValueError(f"not a rational literal: {quote if len(quote) <= 20 else quote[:20] + '...'}")
     p, _, q = text.partition("/")
     try:
         numerator, denominator = int(p), int(q) if q else 1

@@ -456,7 +456,7 @@ def test_reports_are_byte_identical_across_runs(capsys, argv):
 
 def write_document(tmp_path, doc):
     path = tmp_path / "doc.json"
-    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
@@ -536,6 +536,19 @@ LONG_K = "9" * 2200
         pytest.param(
             ["section", "--kind", "predictable", "--set", "P"], fix_b_tau_w1(list(range(10_000))), 3,
             "invariant violation: times.tau: bad time value [0, 1, 2, 3, 4, 5, 6... for atom 'w1'", id="time-long-array",
+        ),
+        pytest.param(
+            ["validate"], lambda d: "\ufeff" + json.dumps(d), 2,
+            "parse error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)", id="bom",
+        ),
+        # a non-rational text is quoted up to 20 characters, however long it is
+        pytest.param(
+            ["section", "--kind", "predictable", "--set", "P"], fix_b_first_weight("x" * 100_000), 3,
+            "invariant violation: space: not a rational literal: 'xxxxxxxxxxxxxxxxxxx...", id="weight-long-text",
+        ),
+        pytest.param(
+            ["section", "--kind", "predictable", "--set", "P", "--epsilon", "x" * 100_000], lambda d: d, 4,
+            "precondition failure: not a rational literal: 'xxxxxxxxxxxxxxxxxxx...", id="epsilon-long-text",
         ),
         pytest.param(
             ["theta", LONG_K, "1"], None, 4, "precondition failure: theta value has more than 4300 digits", id="theta-too-long"

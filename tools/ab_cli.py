@@ -1,17 +1,21 @@
 """Interleaved A/B timing of two checkouts' finsection CLI in one process.
 
-Loads ``src/finsection`` of checkout A and of checkout B under the module
-names ``finsection_a`` and ``finsection_b``, writes the documents of one
-workload of ``bench/workloads.py`` (this checkout's, imported without
-writing bytecode) to a temporary directory, and runs every op on both
-sides, round after round.  Which side goes first alternates from op to op
-and from round to round, so both see the same stretches of a machine
-whose speed drifts.  An op whose (exit code, stdout, stderr) differs
-between the sides stops the run with exit code 1.  Each round prints the
-ratio of B's total call time to A's; the last line gives their median,
-where below 1 means B is faster, the number of rounds B was faster in,
-and the lower and upper quartiles of the ratios, so it shows whether B
-wins round after round by more than the rounds spread.
+Loads ``src/finsection`` of checkout A and of checkout B under the
+module names ``finsection_a`` and ``finsection_b``, writes the documents
+of one workload of ``bench/workloads.py`` (this checkout's, imported
+without writing bytecode) to a temporary directory, and runs every op on
+both sides, round after round.  Which side goes first alternates from op
+to op and from round to round, so both see the same stretches of a
+machine whose speed drifts.  After the warm-up calls it runs
+``gc.collect()`` and ``gc.freeze()``, as ``bench/run.py`` does before it
+measures, so the set-up objects of both sides sit outside the
+collector's generations and the timed calls see the collector work the
+benchmark sees.  An op whose (exit code, stdout, stderr) differs between
+the sides stops the run with exit code 1.  Each round prints the ratio of
+B's total call time to A's; the last line gives their median, where
+below 1 means B is faster, the number of rounds B was faster in, and the
+lower and upper quartiles of the ratios, so it shows whether B wins
+round after round by more than the rounds spread.
 
 It is meant for sizing a change while it is written; performance claims
 come from ``bench/run.py``.  Run it from anywhere:
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import importlib
 import importlib.util
 import io
@@ -92,6 +97,8 @@ def main(argv=None) -> int:
         argvs = [[*op.argv, str(Path(tmp) / f"{op.doc}.json")] for op in workload.ops]
         for cli in sides:  # warm-up
             call(cli, argvs[0])
+        gc.collect()
+        gc.freeze()
         ratios = []
         for r in range(args.rounds):
             seconds = [0.0, 0.0]
