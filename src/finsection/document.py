@@ -32,12 +32,11 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass
 from itertools import groupby, repeat
 from operator import itemgetter
 
 from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults
-from .measure import SampleSpace, SigmaAlgebra, parse_rational
+from .measure import SampleSpace, SigmaAlgebra, _Record, parse_rational
 from .souslin import SouslinScheme, scheme_from_literal
 
 __all__ = [
@@ -54,12 +53,20 @@ class DocumentParseError(Exception):
     """Structurally malformed fixture document."""
 
 
-@dataclass
-class FixtureDocument:
-    X: FilteredSpace
-    sets: dict
-    times: dict
-    schemes: dict
+class FixtureDocument(_Record):
+    """A loaded document.  Unlike the other records it can be assigned to,
+    and so it is unhashable."""
+
+    _fields = ("X", "sets", "times", "schemes")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, X: FilteredSpace, sets: dict, times: dict, schemes: dict):
+        self.X = X
+        self.sets = sets
+        self.times = times
+        self.schemes = schemes
 
 
 def _finite_float(text: str) -> float:  # json's hook for NaN, Infinity and non-integers; 1e999 would load as INF

@@ -10,11 +10,10 @@ values are checked once, by ``RandomTime``; universes are compared by value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
-from .measure import SampleSpace, SigmaAlgebra, is_measurable, refines
+from .measure import SampleSpace, SigmaAlgebra, _Record, is_measurable, refines
 
 __all__ = [
     "INF",
@@ -45,13 +44,16 @@ INF = float("inf")
 _COVER_BUDGET = 1 << 21
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+class TimeGrid(_Record):
     """Strictly increasing nonnegative rational time labels; index-based
     everywhere else, with ``INF`` as the distinguished infinity.
     ``Fraction`` labels are kept as given; others are converted."""
 
-    labels: tuple[Fraction, ...]
+    _fields = ("labels",)
+
+    def __init__(self, labels):
+        object.__setattr__(self, "labels", labels)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(t if type(t) is Fraction else Fraction(t) for t in self.labels))
@@ -66,13 +68,16 @@ class TimeGrid:
         return len(self.labels)
 
 
-@dataclass(frozen=True)
-class FilteredSpace:
+class FilteredSpace(_Record):
     """A sample space, a time grid, and a refining partition per grid index."""
 
-    space: SampleSpace
-    grid: TimeGrid
-    filtration: tuple[SigmaAlgebra, ...]
+    _fields = ("space", "grid", "filtration")
+
+    def __init__(self, space: SampleSpace, grid: TimeGrid, filtration):
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "filtration", filtration)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "filtration", tuple(self.filtration))
@@ -113,11 +118,14 @@ def _filtration_faults(universe: frozenset, sigmas) -> list[str]:
     return lines or [f"filtration[{k}] does not refine filtration[{k - 1}]" for k, (a, b) in steps if not refines(b, a)]
 
 
-@dataclass(frozen=True)
-class RandomTime:
+class RandomTime(_Record):
     """Total map from atoms to grid indices or any value equal to ``INF``."""
 
-    values: dict
+    _fields = ("values",)
+
+    def __init__(self, values):
+        object.__setattr__(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         vals = dict(self.values)
@@ -139,14 +147,13 @@ def infinite_time(atoms) -> RandomTime:
     return RandomTime({a: INF for a in atoms})
 
 
-@dataclass(frozen=True, init=False)
-class StochasticSet:
+class StochasticSet(_Record):
     """Subset of atoms x grid indices, stored slice by slice: ``slices`` is
     the tuple of (index, atoms) pairs sorted by index, one nonempty atom
     frozenset per index.  ``cells`` is a derived view of (atom, index)
     pairs; sets with the same cells compare and hash equal."""
 
-    slices: tuple
+    _fields = ("slices",)
 
     def __init__(self, cells=frozenset()):
         slices: dict = {}
@@ -195,10 +202,7 @@ class StochasticSet:
         return bool(self.slices)
 
 
-class TimeClassification(NamedTuple):
-    cover: tuple
-    ti_part: RandomTime
-    acc_part: RandomTime
+TimeClassification = namedtuple("TimeClassification", ["cover", "ti_part", "acc_part"])
 
 
 def _check_total(tau: RandomTime, X: FilteredSpace):

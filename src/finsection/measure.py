@@ -11,13 +11,16 @@ derived from, so ``refines`` accepts it against that parent at once, as
 ``_split`` has already checked the split.  Against any other partition
 ``refines`` compares the universes by value, then tests every block.  The
 derived partition's atom table is a full copy, O(atoms) per partition.
+
+The package's record classes share ``_Record``, written out by hand: a
+class decorator that generates these methods compiles them anew at every
+import, which a one-call CLI process pays each time.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -49,7 +52,8 @@ def parse_rational(text) -> Fraction:
         # past the interpreter's digit limit for int(str)
         raise ValueError(f"rational literal too long ({len(text)} characters): {text[:20] + '...'!r}") from None
     if not denominator:
-        raise ValueError(f"zero denominator in rational literal: {text!r}")
+        quote = repr(text)  # cut: the digits of both sides can run to the interpreter's limit
+        raise ValueError(f"zero denominator in rational literal: {quote if len(quote) <= 20 else quote[:20] + '...'}")
     return Fraction(numerator, denominator)
 
 
@@ -61,16 +65,54 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class SampleSpace:
+class _Record:
+    """An immutable record with the fields named in ``_fields``.
+
+    Equal records are of one class with equal fields, and hash as the tuple
+    of their fields, so a record holding a dict is unhashable; ``repr`` is
+    ``Name(field=value, ...)``.  ``__init__`` stores through
+    ``object.__setattr__``; after it, assigning or deleting any attribute
+    raises ``AttributeError``.  Instances keep their ``__dict__``, so
+    ``pickle`` and ``copy`` restore them without assigning.
+    """
+
+    _fields = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SampleSpace(_Record):
     """Ordered finite atom list with exact nonnegative weights summing to 1.
 
     Each weight is also kept as an integer numerator over one common
     denominator, so a probability is an integer sum and one Fraction.
     ``Fraction`` weights are kept as given; others are converted."""
 
-    atoms: tuple[str, ...]
-    weights: tuple[Fraction, ...]
+    _fields = ("atoms", "weights")
+
+    def __init__(self, atoms, weights):
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", weights)
+        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "atoms", tuple(self.atoms))
@@ -102,8 +144,7 @@ class SampleSpace:
         return Fraction(total, self._denominator)
 
 
-@dataclass(frozen=True)
-class SigmaAlgebra:
+class SigmaAlgebra(_Record):
     """A finite sigma-algebra, represented by its partition into blocks.
 
     A set is measurable exactly when it is a union of blocks, which makes
@@ -112,7 +153,11 @@ class SigmaAlgebra:
     the partition it was derived from.
     """
 
-    blocks: tuple[frozenset, ...]
+    _fields = ("blocks",)
+
+    def __init__(self, blocks):
+        object.__setattr__(self, "blocks", blocks)
+        self.__post_init__()
 
     def __post_init__(self):
         blocks = [frozenset(b) for b in self.blocks]

@@ -18,7 +18,6 @@ evenly between the two halves; the thin remainder is read as slices.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, product
 
@@ -31,7 +30,7 @@ from .filtered import (
     is_set_of_kind,
     restrict,
 )
-from .measure import discrete_sigma, measurable_cover, outer_measure
+from .measure import _Record, discrete_sigma, measurable_cover, outer_measure
 from .souslin import Paving, SouslinScheme, _check_budget, check_monotone, empty_scheme
 
 __all__ = [
@@ -55,32 +54,38 @@ STRATEGY_DEBUT = "debut-oracle"
 STRATEGY_SOUSLIN = "souslin"
 
 
-@dataclass(frozen=True)
-class SectionTrace:
+class SectionTrace(_Record):
     """Construction trace: the chosen index prefix, the accepted envelope
     projection measures per depth, and the deficit the debut oracle attains
     on the same target."""
 
-    chosen_prefix: tuple
-    envelope_measures: tuple
-    oracle_deficit: Fraction
+    _fields = ("chosen_prefix", "envelope_measures", "oracle_deficit")
+
+    def __init__(self, chosen_prefix: tuple, envelope_measures: tuple, oracle_deficit: Fraction):
+        object.__setattr__(self, "chosen_prefix", chosen_prefix)
+        object.__setattr__(self, "envelope_measures", envelope_measures)
+        object.__setattr__(self, "oracle_deficit", oracle_deficit)
 
 
-@dataclass(frozen=True)
-class SectionResult:
-    time: RandomTime
-    deficit: Fraction
-    strategy: str
-    trace: SectionTrace
+class SectionResult(_Record):
+    _fields = ("time", "deficit", "strategy", "trace")
+
+    def __init__(self, time: RandomTime, deficit: Fraction, strategy: str, trace: SectionTrace):
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "deficit", deficit)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "trace", trace)
 
 
-@dataclass(frozen=True)
-class OptionalDecomposition:
+class OptionalDecomposition(_Record):
     """Largest predictable subset plus stopping times whose graphs tile the
     remainder (a thin set)."""
 
-    predictable_part: StochasticSet
-    thin_times: tuple
+    _fields = ("predictable_part", "thin_times")
+
+    def __init__(self, predictable_part: StochasticSet, thin_times: tuple):
+        object.__setattr__(self, "predictable_part", predictable_part)
+        object.__setattr__(self, "thin_times", thin_times)
 
 
 def projection(S: StochasticSet) -> frozenset:

@@ -13,10 +13,11 @@ keeps every equality test exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, product, repeat
 from math import isqrt
 from operator import and_, or_
+
+from .measure import _Record
 
 __all__ = [
     "Paving",
@@ -64,8 +65,7 @@ def theta_inv(n: int) -> tuple[int, int]:
     return d - (r - 1), r
 
 
-@dataclass(frozen=True)
-class Paving:
+class Paving(_Record):
     """A finite, nonempty collection of subsets of a finite ground set.
 
     ``ground`` fixes the element order; members are bitmasks over it.  The
@@ -73,8 +73,12 @@ class Paving:
     values a scheme node may take, are built once, here.
     """
 
-    ground: tuple
-    member_masks: tuple[int, ...]
+    _fields = ("ground", "member_masks")
+
+    def __init__(self, ground, member_masks):
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "member_masks", member_masks)
+        self.__post_init__()
 
     def __post_init__(self):
         if not self.ground:
@@ -144,8 +148,7 @@ def _elements(ground, mask) -> list:
     return [e for e, bit in zip(ground, bin(mask)[:1:-1]) if bit == "1"]
 
 
-@dataclass(frozen=True, eq=False)
-class SouslinScheme:
+class SouslinScheme(_Record):
     """Finitely generated Souslin scheme.
 
     ``nodes`` maps index tuples within the (depth, branching) bounds to
@@ -153,13 +156,19 @@ class SouslinScheme:
     internal top value.  The empty mask is admitted as an internal bottom
     (it backs the degenerate empty scheme).  The scan that validates the
     keys also keeps the longest key and the largest entry, which bound the
-    walk of :func:`eval_scheme`.
+    walk of :func:`eval_scheme`.  Schemes compare and hash by identity.
     """
 
-    paving: Paving
-    depth: int
-    branching: int
-    nodes: dict
+    _fields = ("paving", "depth", "branching", "nodes")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, paving: Paving, depth: int, branching: int, nodes: dict):
+        object.__setattr__(self, "paving", paving)
+        object.__setattr__(self, "depth", depth)
+        object.__setattr__(self, "branching", branching)
+        object.__setattr__(self, "nodes", nodes)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.depth < 1 or self.branching < 1:

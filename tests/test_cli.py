@@ -546,6 +546,12 @@ LONG_K = "9" * 2200
             ["section", "--kind", "predictable", "--set", "P"], fix_b_first_weight("x" * 100_000), 3,
             "invariant violation: space: not a rational literal: 'xxxxxxxxxxxxxxxxxxx...", id="weight-long-text",
         ),
+        # so is a zero-denominator literal, whose two sides each stay inside the digit limit
+        pytest.param(
+            ["section", "--kind", "predictable", "--set", "P"], fix_b_first_weight("9" * 4300 + "/" + "0" * 4300), 3,
+            "invariant violation: space: zero denominator in rational literal: '9999999999999999999...",
+            id="weight-long-zero-denominator",
+        ),
         pytest.param(
             ["section", "--kind", "predictable", "--set", "P", "--epsilon", "x" * 100_000], lambda d: d, 4,
             "precondition failure: not a rational literal: 'xxxxxxxxxxxxxxxxxxx...", id="epsilon-long-text",
