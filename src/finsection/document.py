@@ -36,7 +36,7 @@ from itertools import groupby, repeat
 from operator import itemgetter
 
 from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults
-from .measure import SampleSpace, SigmaAlgebra, _Record, parse_rational
+from .measure import SampleSpace, SigmaAlgebra, _cut, _Record, parse_rational
 from .souslin import SouslinScheme, scheme_from_literal
 
 __all__ = [
@@ -71,7 +71,7 @@ class FixtureDocument(_Record):
 
 def _finite_float(text: str) -> float:  # json's hook for NaN, Infinity and non-integers; 1e999 would load as INF
     if not math.isfinite(value := float(text)):
-        raise DocumentParseError(f"JSON number {text if len(text) <= 20 else text[:20] + '...'} is not finite")
+        raise DocumentParseError(f"JSON number {_cut(text)} is not finite")
     return value
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .measure import SampleSpace, SigmaAlgebra, _Record, is_measurable, refines
+from .measure import SampleSpace, SigmaAlgebra, _cut, _Record, is_measurable, refines
 
 __all__ = [
     "INF",
@@ -83,19 +83,13 @@ class FilteredSpace(_Record):
         object.__setattr__(self, "filtration", tuple(self.filtration))
         if len(self.filtration) != len(self.grid):
             raise ValueError("need exactly one sigma-algebra per grid point")
-        universe = frozenset(self.space.atoms)
-        object.__setattr__(self, "_atom_set", universe)
-        faults = _filtration_faults(universe, self.filtration)
+        faults = _filtration_faults(frozenset(self.space.atoms), self.filtration)
         if faults:
             raise ValueError(faults[0])
 
     @property
     def atoms(self) -> tuple[str, ...]:
         return self.space.atoms
-
-    @property
-    def atom_set(self) -> frozenset:
-        return self._atom_set
 
     @property
     def n_times(self) -> int:
@@ -131,8 +125,7 @@ class RandomTime(_Record):
         vals = dict(self.values)
         for atom, v in vals.items():
             if v != INF and not (isinstance(v, int) and not isinstance(v, bool) and v >= 0):
-                quote = repr(v)  # cut: a document value can be a long string or array
-                raise ValueError(f"bad time value {quote if len(quote) <= 20 else quote[:20] + '...'} for atom {atom!r}")
+                raise ValueError(f"bad time value {_cut(repr(v))} for atom {atom!r}")
         object.__setattr__(self, "values", vals)
 
     def finite_support(self) -> frozenset:
@@ -232,7 +225,7 @@ def is_predictable_time(tau: RandomTime, X: FilteredSpace) -> bool:
 
 
 def _check_cells(S: StochasticSet, X: FilteredSpace):
-    n, universe = X.n_times, X.atom_set
+    n, universe = X.n_times, X.filtration[-1].universe  # each partition covers the atom set
     for k, atoms in S.slices:
         outside = atoms - universe if 0 <= k < n else atoms
         if outside:

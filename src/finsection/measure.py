@@ -39,12 +39,16 @@ __all__ = [
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
+def _cut(text: str) -> str:
+    """``text`` cut after 20 characters: a quoted document value can be long."""
+    return text if len(text) <= 20 else text[:20] + "..."
+
+
 def parse_rational(text) -> Fraction:
     """Parse a "p/q" (or bare integer) literal of ASCII digits into an exact
     Fraction; the whole string must match, with no surrounding whitespace."""
     if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
-        quote = repr(text)  # cut: a document weight or grid label can be a long string
-        raise ValueError(f"not a rational literal: {quote if len(quote) <= 20 else quote[:20] + '...'}")
+        raise ValueError(f"not a rational literal: {_cut(repr(text))}")
     p, _, q = text.partition("/")
     try:
         numerator, denominator = int(p), int(q) if q else 1
@@ -52,8 +56,7 @@ def parse_rational(text) -> Fraction:
         # past the interpreter's digit limit for int(str)
         raise ValueError(f"rational literal too long ({len(text)} characters): {text[:20] + '...'!r}") from None
     if not denominator:
-        quote = repr(text)  # cut: the digits of both sides can run to the interpreter's limit
-        raise ValueError(f"zero denominator in rational literal: {quote if len(quote) <= 20 else quote[:20] + '...'}")
+        raise ValueError(f"zero denominator in rational literal: {_cut(repr(text))}")
     return Fraction(numerator, denominator)
 
 

@@ -3,16 +3,20 @@
 Two routes produce a section time for a predictable set: the direct debut
 (exact on finite models, used as the oracle) and the scheme route, which
 reads the set as a monotone Souslin scheme, picks each index coordinate as
-the least branch whose envelope's projected outer measure clears target -
-eps, and returns the debut of the chosen branch.  On the set's cumulative
-scheme (C_c the union of its first c nonempty slices, the node at a key
-C_min(key)) this has a closed form: depth 0 picks the least k* whose C_k*
-clears, and at each later depth the node C_min(k*, c) fails for c < k* and
-is C_k* for c >= k*, so k* is picked again.  Each solver checks its input
-once, on entry: epsilon, strategy, then the set's kind.  Optional and
-accessible sections reduce to the unchecked predictable core through the
-largest-predictable-subset decomposition, splitting the epsilon budget
-evenly between the two halves; the thin remainder is read as slices.
+the least branch whose envelope's projection weighs at least target - eps,
+and returns the debut of the chosen branch.  The paper weighs a projection
+by outer measure, as in general it is only universally measurable; here a
+projection of an optional or predictable set is a finite union of slices,
+each measurable at the last step, so it weighs its probability, and the
+debut has deficit 0.  On the set's cumulative scheme (C_c the union of its
+first c nonempty slices, the node at a key C_min(key)) this has a closed
+form: depth 0 picks the least k* whose C_k* clears, and at each later depth
+the node C_min(k*, c) fails for c < k* and is C_k* for c >= k*, so k* is
+picked again.  Each solver checks its input once, on entry: epsilon,
+strategy, then the set's kind.  Optional and accessible sections reduce to
+the unchecked predictable core through the largest-predictable-subset
+decomposition, splitting the epsilon budget evenly between the two halves;
+the thin remainder is read as slices.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .filtered import (
     is_set_of_kind,
     restrict,
 )
-from .measure import _Record, discrete_sigma, measurable_cover, outer_measure
+from .measure import _Record, discrete_sigma
 from .souslin import Paving, SouslinScheme, _check_budget, check_monotone, empty_scheme
 
 __all__ = [
@@ -93,10 +97,6 @@ def projection(S: StochasticSet) -> frozenset:
     return frozenset().union(*(atoms for _, atoms in S.slices))
 
 
-def _outer(X: FilteredSpace, subset) -> Fraction:
-    return outer_measure(subset, X.filtration[-1], X.space)
-
-
 def _check_epsilon(eps) -> Fraction:
     """eps as a Fraction (one given as a Fraction is kept), refused if negative."""
     if type(eps) is not Fraction:
@@ -117,12 +117,11 @@ def _checked(S: StochasticSet, X: FilteredSpace, eps, strategy, kind: str, messa
     return eps
 
 
-def _report(X: FilteredSpace, target, target_outer, time, strategy, prefix=(), measures=()) -> SectionResult:
-    """The result for a time sectioning a set of projection ``target``: its
-    deficit, and the debut's, whose finite support is the projection."""
-    prob = X.space.prob
-    trace = SectionTrace(prefix, measures, target_outer - prob(target))
-    return SectionResult(time, target_outer - prob(time.finite_support()), strategy, trace)
+def _report(X: FilteredSpace, target: Fraction, time, strategy, prefix=(), measures=()) -> SectionResult:
+    """The result for a time sectioning a set whose projection weighs
+    ``target``; the debut's deficit is 0, its finite support the projection."""
+    trace = SectionTrace(prefix, measures, Fraction(0))
+    return SectionResult(time, target - X.space.prob(time.finite_support()), strategy, trace)
 
 
 def to_interval_representation(P_set: StochasticSet, X: FilteredSpace) -> tuple:
@@ -174,27 +173,27 @@ def _mask_to_set(X: FilteredSpace, mask: int) -> StochasticSet:
     return StochasticSet.from_slices({k: compress(X.atoms, map("1".__eq__, row)) for k, row in enumerate(rows)})
 
 
-def _souslin_sweep(scheme: SouslinScheme, X: FilteredSpace, eps: Fraction, target_outer: Fraction):
+def _souslin_sweep(scheme: SouslinScheme, X: FilteredSpace, eps: Fraction, target: Fraction):
     """Least-branch envelope selection.
 
     For a monotone scheme the envelope of an index prefix is the node at
     the prefix padded with the branching bound, and it grows with each
     coordinate, so each coordinate is the least candidate whose envelope's
-    projected outer measure clears target - eps, found by bisection.  The
+    projection weighs at least target - eps, found by bisection.  The
     bound clears, as its envelope is the last accepted one (at first, the
     target); each envelope it reads is weighed, with no cache.
     """
     depth, branching = scheme.depth, scheme.branching
 
     def weigh(mask: int) -> Fraction:
-        return _outer(X, projection(_mask_to_set(X, mask)))
+        return X.space.prob(projection(_mask_to_set(X, mask)))
 
     prefix: list[int] = []
     measures: list[Fraction] = []
     for pos in range(depth):
         pad = (branching,) * (depth - pos - 1)
         prefix.append(1 + bisect_left(
-            range(1, branching), True, key=lambda c: weigh(scheme.node((*prefix, c, *pad))) >= target_outer - eps
+            range(1, branching), True, key=lambda c: weigh(scheme.node((*prefix, c, *pad))) >= target - eps
         ))
         measures.append(weigh(scheme.node((*prefix, *pad))))
     chosen = _mask_to_set(X, scheme.node(tuple(prefix)))
@@ -213,22 +212,21 @@ def section_from_scheme(scheme: SouslinScheme, X: FilteredSpace, eps) -> Section
     for mask in set(scheme.nodes.values()) | {scheme.paving.full_mask}:
         if not is_set_of_kind(_mask_to_set(X, mask), X, "predictable"):
             raise ValueError("scheme values must be predictable sets")
-    target = projection(_mask_to_set(X, scheme.node((scheme.branching,) * scheme.depth)))
-    target_outer = _outer(X, target)
-    prefix, measures, chosen = _souslin_sweep(scheme, X, eps, target_outer)
-    return _report(X, target, target_outer, debut(chosen, X), STRATEGY_SOUSLIN, prefix, measures)
+    target = X.space.prob(projection(_mask_to_set(X, scheme.node((scheme.branching,) * scheme.depth))))
+    prefix, measures, chosen = _souslin_sweep(scheme, X, eps, target)
+    return _report(X, target, debut(chosen, X), STRATEGY_SOUSLIN, prefix, measures)
 
 
 def predictable_section(P_set: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_SOUSLIN) -> SectionResult:
     """Predictable time whose graph sits inside the set and whose finiteness
-    probability is within eps of the projection's outer measure.
+    probability is within eps of the projection's, here its outer measure.
 
     The debut strategy returns the first-entry time, exact on a finite
     grid.  The scheme strategy returns the sweep's result on the set's
     cumulative scheme in its closed form (module docstring): the debut of
     the first k* slices and the trace (k*,) * r, every envelope measure
-    that of C_k*.  The prefix measures grow slice by slice, a block of the
-    last partition added when an atom of it first shows up, up to k*.
+    that of C_k*.  The prefix measures grow slice by slice, each slice
+    adding the probability of its atoms no earlier slice holds, up to k*.
     """
     eps = _checked(P_set, X, eps, strategy, "predictable", "predictable_section needs a predictable set")
     return _predictable_section(P_set, X, eps, strategy)
@@ -236,35 +234,32 @@ def predictable_section(P_set: StochasticSet, X: FilteredSpace, eps, strategy=ST
 
 def _predictable_section(P_set: StochasticSet, X: FilteredSpace, eps: Fraction, strategy: str) -> SectionResult:
     """predictable_section on a set known to be predictable, eps and strategy checked."""
-    target = projection(P_set)
-    target_outer = _outer(X, target)
+    prob = X.space.prob
+    target = prob(projection(P_set))
     if strategy == STRATEGY_DEBUT:
-        return _report(X, target, target_outer, debut(P_set, X), STRATEGY_DEBUT)
-    last, covered, mass = X.filtration[-1], set(), Fraction(0)
-    floor = target_outer - eps
+        return _report(X, target, debut(P_set, X), STRATEGY_DEBUT)
+    covered, mass, floor = set(), Fraction(0), target - eps
     k_star = 1  # the empty set keeps the empty scheme's trace
     for k_star, (_, atoms) in enumerate(P_set.slices, 1):
-        new = atoms - covered
-        if new:
-            cover = measurable_cover(new, last)
-            covered |= cover
-            mass += X.space.prob(cover)
+        mass += prob(atoms - covered)
+        covered |= atoms
         if mass >= floor:
             break
     time = debut(StochasticSet.from_slices(dict(P_set.slices[:k_star])), X)
     r = max(len(P_set.slices), 1)
-    return _report(X, target, target_outer, time, STRATEGY_SOUSLIN, (k_star,) * r, (mass,) * r)
+    return _report(X, target, time, STRATEGY_SOUSLIN, (k_star,) * r, (mass,) * r)
 
 
 def measurable_section(S: StochasticSet, space, grid) -> SectionResult:
     """Exact section of an arbitrary stochastic set.
 
-    Under the finest constant filtration every set is predictable, so the
-    debut route applies with eps = 0 and recovers the projection as the
-    exact finiteness set of the returned time.
+    Under the finest constant filtration every set of cells is predictable,
+    so its debut is an exact section, with the projection as its finiteness
+    set, and no kind check runs: ``debut`` refuses a cell outside the space.
     """
     X = FilteredSpace(space, grid, (discrete_sigma(space.atoms),) * len(grid))
-    return predictable_section(S, X, Fraction(0), STRATEGY_DEBUT)
+    time = debut(S, X)  # first, so a cell outside the space is refused before prob sees it
+    return _report(X, X.space.prob(projection(S)), time, STRATEGY_DEBUT)
 
 
 def decompose_optional(O: StochasticSet, X: FilteredSpace) -> OptionalDecomposition:
@@ -331,8 +326,7 @@ def _optional_section(O: StochasticSet, X: FilteredSpace, eps: Fraction, strateg
     values = dict(inner.time.values)
     values.update({atom: k for atom, k in firsts.items() if k < values[atom]})
 
-    target, trace = projection(O), inner.trace
-    return _report(X, target, _outer(X, target), RandomTime(values), strategy, trace.chosen_prefix, trace.envelope_measures)
+    return _report(X, prob(projection(O)), RandomTime(values), strategy, inner.trace.chosen_prefix, inner.trace.envelope_measures)
 
 
 def accessible_section(A_set: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_SOUSLIN) -> SectionResult:

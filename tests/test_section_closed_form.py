@@ -7,7 +7,11 @@ and trace.  The optional and accessible sections read the thin remainder
 slice by slice; here they are checked against the assembly that builds one
 slice-constant stopping time per thin slice and takes their minimum, and
 ``classify_time``'s cover against one restricted constant time per
-lookback block.
+lookback block.  On exhaustive small spaces and seeded random ones, every
+report keeps its deficit within eps with a debut deficit of 0 (the
+projection is measurable, so its outer measure is its probability), and
+the souslin route's k* is the least number of leading slices that clears
+target - eps.
 """
 
 import random
@@ -32,6 +36,7 @@ from finsection import (
     decompose_optional,
     discrete_sigma,
     infinite_time,
+    measurable_section,
     optional_section,
     outer_measure,
     predictable_section,
@@ -117,6 +122,55 @@ def test_optional_assembly_and_classify_cover_equal_the_per_slice_times(rng, eps
         if any(tau.values[a] == k for a in block)
     ]
     assert ordered(classify_time(tau, X).cover) == ordered(cover)
+
+
+def check_projections_weigh_their_outer_measure(X, *sets):
+    for S in sets:
+        assert gen.oracle_outer(projection(S), X.filtration[-1], X.space) == X.space.prob(projection(S))
+
+
+def check_reports(P, O, M, X, eps):
+    """Each solver's report on a predictable set P, an optional set O and an
+    arbitrary set M keeps its deficit within eps (0 for M), with a debut
+    deficit of 0, and the souslin route's k* on P is minimal."""
+    prob = X.space.prob
+    exact = measurable_section(M, X.space, X.grid)
+    assert exact.deficit == exact.trace.oracle_deficit == 0
+    for strategy in (STRATEGY_DEBUT, STRATEGY_SOUSLIN):
+        for res in (predictable_section(P, X, eps, strategy), optional_section(O, X, eps, strategy), accessible_section(O, X, eps, strategy)):
+            assert 0 <= res.deficit <= eps
+            assert res.trace.oracle_deficit == 0
+
+    def clears(k):  # the first k slices of P weigh at least target - eps
+        return prob(projection(StochasticSet.from_slices(dict(P.slices[:k])))) >= prob(projection(P)) - eps
+
+    k_star = predictable_section(P, X, eps, STRATEGY_SOUSLIN).trace.chosen_prefix[0]
+    assert 1 <= k_star <= max(len(P.slices), 1)
+    assert clears(k_star)
+    assert k_star == 1 or not clears(k_star - 1)
+
+
+PROPERTY_EPSILONS = EPSILONS[:4]
+
+
+def test_reports_meet_eps_and_k_star_is_minimal_on_exhaustive_spaces():
+    for X in gen.exhaustive_spaces(3, 2):
+        M = StochasticSet(frozenset((a, k) for a in X.atoms[1:] for k in range(X.n_times)))
+        optional = list(gen.optional_sets_of(X))
+        check_projections_weigh_their_outer_measure(X, *optional)
+        for i, P in enumerate(gen.predictable_sets_of(X)):
+            for eps in PROPERTY_EPSILONS:
+                check_reports(P, optional[i % len(optional)], M, X, eps)
+
+
+def test_reports_meet_eps_and_k_star_is_minimal_on_random_spaces():
+    for seed in range(300):
+        rng = random.Random(seed)
+        X = gen.random_filtered_space(rng)
+        P, O, M = gen.random_predictable_set(rng, X), gen.random_optional_set(rng, X), gen.random_any_set(rng, X)
+        check_projections_weigh_their_outer_measure(X, P, O)
+        for eps in PROPERTY_EPSILONS:
+            check_reports(P, O, M, X, eps)
 
 
 def test_souslin_route_memory_stays_in_the_cells_of_the_set():
