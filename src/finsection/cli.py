@@ -25,6 +25,7 @@ from .measure import format_rational, parse_rational
 from .section import (
     STRATEGY_DEBUT,
     STRATEGY_SOUSLIN,
+    _check_epsilon,
     accessible_section,
     measurable_section,
     optional_section,
@@ -104,6 +105,8 @@ def _read_document(path):
     LF, as a file opened in text mode reads them."""
     try:
         if path is None:
+            if sys.stdin is None:
+                raise DocumentParseError("cannot read document: stdin is closed")
             data = sys.stdin.buffer.read()
         else:
             with open(path, "rb") as handle:
@@ -125,7 +128,7 @@ def _lookup(table: dict, name: str, kind: str):
 
 def _section_report(args, doc) -> dict:
     target = _lookup(doc.sets, args.set_name, "set")
-    eps = parse_rational(args.epsilon)
+    eps = _check_epsilon(parse_rational(args.epsilon))  # every kind: measurable_section takes no epsilon, but the report prints it
     strategy = STRATEGY_DEBUT if args.strategy == "debut" else STRATEGY_SOUSLIN
     if args.kind == "predictable":
         result = predictable_section(target, doc.X, eps, strategy)

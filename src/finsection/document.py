@@ -62,12 +62,6 @@ class FixtureDocument(_Record):
     __delattr__ = object.__delattr__
     __hash__ = None
 
-    def __init__(self, X: FilteredSpace, sets: dict, times: dict, schemes: dict):
-        self.X = X
-        self.sets = sets
-        self.times = times
-        self.schemes = schemes
-
 
 def _finite_float(text: str) -> float:  # json's hook for NaN, Infinity and non-integers; 1e999 would load as INF
     if not math.isfinite(value := float(text)):

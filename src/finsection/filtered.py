@@ -10,10 +10,9 @@ values are checked once, by ``RandomTime``; universes are compared by value.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 
-from .measure import SampleSpace, SigmaAlgebra, _cut, _Record, is_measurable, refines
+from .measure import SigmaAlgebra, _cut, _Record, is_measurable, refines
 
 __all__ = [
     "INF",
@@ -51,10 +50,6 @@ class TimeGrid(_Record):
 
     _fields = ("labels",)
 
-    def __init__(self, labels):
-        object.__setattr__(self, "labels", labels)
-        self.__post_init__()
-
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(t if type(t) is Fraction else Fraction(t) for t in self.labels))
         if not self.labels:
@@ -72,12 +67,6 @@ class FilteredSpace(_Record):
     """A sample space, a time grid, and a refining partition per grid index."""
 
     _fields = ("space", "grid", "filtration")
-
-    def __init__(self, space: SampleSpace, grid: TimeGrid, filtration):
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "filtration", filtration)
-        self.__post_init__()
 
     def __post_init__(self):
         object.__setattr__(self, "filtration", tuple(self.filtration))
@@ -116,10 +105,6 @@ class RandomTime(_Record):
     """Total map from atoms to grid indices or any value equal to ``INF``."""
 
     _fields = ("values",)
-
-    def __init__(self, values):
-        object.__setattr__(self, "values", values)
-        self.__post_init__()
 
     def __post_init__(self):
         vals = dict(self.values)
@@ -195,7 +180,10 @@ class StochasticSet(_Record):
         return bool(self.slices)
 
 
-TimeClassification = namedtuple("TimeClassification", ["cover", "ti_part", "acc_part"])
+class TimeClassification(_Record):
+    """``classify_time``'s result: predictable cover, inaccessible and accessible parts."""
+
+    _fields = ("cover", "ti_part", "acc_part")
 
 
 def _check_total(tau: RandomTime, X: FilteredSpace):

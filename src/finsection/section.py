@@ -65,20 +65,9 @@ class SectionTrace(_Record):
 
     _fields = ("chosen_prefix", "envelope_measures", "oracle_deficit")
 
-    def __init__(self, chosen_prefix: tuple, envelope_measures: tuple, oracle_deficit: Fraction):
-        object.__setattr__(self, "chosen_prefix", chosen_prefix)
-        object.__setattr__(self, "envelope_measures", envelope_measures)
-        object.__setattr__(self, "oracle_deficit", oracle_deficit)
-
 
 class SectionResult(_Record):
     _fields = ("time", "deficit", "strategy", "trace")
-
-    def __init__(self, time: RandomTime, deficit: Fraction, strategy: str, trace: SectionTrace):
-        object.__setattr__(self, "time", time)
-        object.__setattr__(self, "deficit", deficit)
-        object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "trace", trace)
 
 
 class OptionalDecomposition(_Record):
@@ -86,10 +75,6 @@ class OptionalDecomposition(_Record):
     remainder (a thin set)."""
 
     _fields = ("predictable_part", "thin_times")
-
-    def __init__(self, predictable_part: StochasticSet, thin_times: tuple):
-        object.__setattr__(self, "predictable_part", predictable_part)
-        object.__setattr__(self, "thin_times", thin_times)
 
 
 def projection(S: StochasticSet) -> frozenset:
@@ -219,7 +204,8 @@ def section_from_scheme(scheme: SouslinScheme, X: FilteredSpace, eps) -> Section
 
 def predictable_section(P_set: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_SOUSLIN) -> SectionResult:
     """Predictable time whose graph sits inside the set and whose finiteness
-    probability is within eps of the projection's, here its outer measure.
+    probability is within eps of the projection's probability, which is its
+    outer measure, as the projection is measurable.
 
     The debut strategy returns the first-entry time, exact on a finite
     grid.  The scheme strategy returns the sweep's result on the set's
@@ -229,15 +215,15 @@ def predictable_section(P_set: StochasticSet, X: FilteredSpace, eps, strategy=ST
     adding the probability of its atoms no earlier slice holds, up to k*.
     """
     eps = _checked(P_set, X, eps, strategy, "predictable", "predictable_section needs a predictable set")
-    return _predictable_section(P_set, X, eps, strategy)
+    return _report(X, *_predictable_section(P_set, X, eps, strategy))
 
 
-def _predictable_section(P_set: StochasticSet, X: FilteredSpace, eps: Fraction, strategy: str) -> SectionResult:
-    """predictable_section on a set known to be predictable, eps and strategy checked."""
+def _predictable_section(P_set: StochasticSet, X: FilteredSpace, eps: Fraction, strategy: str) -> tuple:
+    """predictable_section's ``_report`` arguments, on a checked set, eps and strategy."""
     prob = X.space.prob
     target = prob(projection(P_set))
     if strategy == STRATEGY_DEBUT:
-        return _report(X, target, debut(P_set, X), STRATEGY_DEBUT)
+        return target, debut(P_set, X), STRATEGY_DEBUT, (), ()
     covered, mass, floor = set(), Fraction(0), target - eps
     k_star = 1  # the empty set keeps the empty scheme's trace
     for k_star, (_, atoms) in enumerate(P_set.slices, 1):
@@ -247,7 +233,7 @@ def _predictable_section(P_set: StochasticSet, X: FilteredSpace, eps: Fraction, 
             break
     time = debut(StochasticSet.from_slices(dict(P_set.slices[:k_star])), X)
     r = max(len(P_set.slices), 1)
-    return _report(X, target, time, STRATEGY_SOUSLIN, (k_star,) * r, (mass,) * r)
+    return target, time, STRATEGY_SOUSLIN, (k_star,) * r, (mass,) * r
 
 
 def measurable_section(S: StochasticSet, space, grid) -> SectionResult:
@@ -311,7 +297,7 @@ def _optional_section(O: StochasticSet, X: FilteredSpace, eps: Fraction, strateg
     # The predictable part is predictable by construction and never leaves
     # O, so the inner section needs no check and its graph lies inside O.
     half = eps / 2
-    inner = _predictable_section(part, X, half, strategy)
+    _, inner_time, _, prefix, measures = _predictable_section(part, X, half, strategy)
 
     prob = X.space.prob
     remainder_mass = prob(frozenset().union(*(rest for _, rest in rests)))
@@ -323,10 +309,10 @@ def _optional_section(O: StochasticSet, X: FilteredSpace, eps: Fraction, strateg
         new = rest.difference(firsts)  # the atoms no earlier rest covers
         firsts.update(dict.fromkeys(new, k))
         covered += prob(new)
-    values = dict(inner.time.values)
+    values = dict(inner_time.values)
     values.update({atom: k for atom, k in firsts.items() if k < values[atom]})
 
-    return _report(X, prob(projection(O)), RandomTime(values), strategy, inner.trace.chosen_prefix, inner.trace.envelope_measures)
+    return _report(X, prob(projection(O)), RandomTime(values), strategy, prefix, measures)
 
 
 def accessible_section(A_set: StochasticSet, X: FilteredSpace, eps, strategy=STRATEGY_SOUSLIN) -> SectionResult:

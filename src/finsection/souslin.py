@@ -75,11 +75,6 @@ class Paving(_Record):
 
     _fields = ("ground", "member_masks")
 
-    def __init__(self, ground, member_masks):
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(self, "member_masks", member_masks)
-        self.__post_init__()
-
     def __post_init__(self):
         if not self.ground:
             raise ValueError("ground set must be nonempty")
@@ -162,13 +157,6 @@ class SouslinScheme(_Record):
     _fields = ("paving", "depth", "branching", "nodes")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(self, paving: Paving, depth: int, branching: int, nodes: dict):
-        object.__setattr__(self, "paving", paving)
-        object.__setattr__(self, "depth", depth)
-        object.__setattr__(self, "branching", branching)
-        object.__setattr__(self, "nodes", nodes)
-        self.__post_init__()
 
     def __post_init__(self):
         if self.depth < 1 or self.branching < 1:

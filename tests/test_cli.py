@@ -1,5 +1,7 @@
 import io
 import json
+import os
+import shutil
 import subprocess
 import sys
 import time
@@ -207,10 +209,13 @@ def test_section_precondition_failures(capsys):
     assert code == 4
     code, _, _ = run_cli(capsys, ["section", "--kind", "predictable", "--set", "missing", FIX_B])
     assert code == 4
-    code, _, _ = run_cli(
-        capsys, ["section", "--kind", "predictable", "--set", "P", "--epsilon=-1/2", FIX_B]
-    )
-    assert code == 4
+
+
+@pytest.mark.parametrize("kind", ["predictable", "optional", "measurable", "accessible"])
+def test_section_refuses_a_negative_epsilon(capsys, kind):
+    # measurable_section takes no epsilon, but its report prints the one given
+    result = run_cli(capsys, ["section", "--kind", kind, "--set", "P", "--epsilon=-1/2", FIX_B])
+    assert result == (4, "", "precondition failure: epsilon must be nonnegative\n")
 
 
 def test_classify_time_report(capsys):
@@ -396,6 +401,12 @@ def test_reads_from_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", binary_stdin(Path(FIX_A).read_bytes()))
     report = run_json(capsys, ["validate"])
     assert report["status"] == "ok"
+
+
+def test_closed_stdin_is_a_parse_error(capsys, monkeypatch):
+    # a process started with stdin closed (``<&-``) sees sys.stdin as None
+    monkeypatch.setattr(sys, "stdin", None)
+    assert run_cli(capsys, ["validate"]) == (2, "", "parse error: cannot read document: stdin is closed\n")
 
 
 @pytest.mark.parametrize(
@@ -783,3 +794,30 @@ def test_debut_scale_reports_match_golden_bytes(capsys, record):
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
     code, out, _ = run_cli(capsys, argv)
     assert (code, out) == (record["exit"], record["stdout"])
+
+
+def test_golden_fixtures_give_the_same_bytes_across_processes():
+    """The three golden files replayed by ``golden_replay.py`` in child
+    processes: under this interpreter with hash seeds 0 and 1, and once
+    under each other supported interpreter on PATH that starts."""
+    runs = {f"{sys.executable} PYTHONHASHSEED={seed}": (sys.executable, seed) for seed in ("0", "1")}
+    for version in ("3.10", "3.12", "3.13"):
+        exe = shutil.which(f"python{version}")
+        if exe and subprocess.run([exe, "-c", "pass"], capture_output=True).returncode == 0:
+            runs[f"python{version}"] = (exe, "0")
+    children = {
+        label: subprocess.Popen(
+            [exe, str(Path(__file__).parent / "golden_replay.py")],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1"),
+        )
+        for label, (exe, seed) in runs.items()
+    }
+    print("replayed under:", ", ".join(children))
+    total = len(GOLDEN) + len(GOLDEN_SOUSLIN) + len(GOLDEN_DEBUT)
+    for label, child in children.items():
+        out, err = child.communicate(timeout=60)
+        assert child.returncode == 0, f"{label}: {out}{err}"
+        assert out.startswith(f"{total} of {total} records match"), f"{label}: {out}"

@@ -1,12 +1,18 @@
 """The record contract of the package's record classes, one row per class.
 
-Records take their fields by position or keyword, compare by the tuple of
-those fields and only with records of their own class, hash as that
-tuple, print as ``Name(field=value, ...)``, refuse assignment and
-deletion, and survive ``pickle`` and ``copy``.  Three classes differ:
-``SouslinScheme`` compares and hashes by identity, and a record holding a
-dict (a ``RandomTime``, a ``SectionResult``) or a ``FixtureDocument`` is
-unhashable; a ``FixtureDocument`` can also be assigned to.
+Records share one constructor, ``_Record.__init__``: it takes each field
+by position or keyword, once, and refuses a missing field, an extra
+positional argument, an unknown keyword and a field given twice with a
+``TypeError`` naming the class.  It stores through ``object.__setattr__``
+rather than ``self.__dict__``, whose first read makes every later
+attribute load slower.  Records compare by the tuple of their fields and
+only with records of their own class, hash as that tuple, print as
+``Name(field=value, ...)``, refuse assignment and deletion, and survive
+``pickle`` and ``copy``.  Four classes differ: ``SouslinScheme`` compares
+and hashes by identity, a record holding a dict (a ``RandomTime``, a
+``SectionResult``, a ``TimeClassification``) or a ``FixtureDocument`` is
+unhashable, a ``FixtureDocument`` can also be assigned to, and a
+``StochasticSet`` is built from its cells, not from its one field.
 """
 
 import copy
@@ -27,6 +33,7 @@ from finsection import (
     SigmaAlgebra,
     SouslinScheme,
     StochasticSet,
+    TimeClassification,
     TimeGrid,
     discrete_sigma,
     trivial_sigma,
@@ -46,6 +53,10 @@ def paving(members=(0, 1, 3)):
 
 def trace(deficit=Fraction(0)):
     return SectionTrace((1,), (HALF,), deficit)
+
+
+def classification(cover=()):
+    return TimeClassification(cover, RandomTime({"a": INF, "b": INF}), RandomTime({"a": 0, "b": INF}))
 
 
 # (class, its fields in order, two builders of unequal records, hashable)
@@ -68,6 +79,8 @@ ROWS = [
      lambda: OptionalDecomposition(StochasticSet({("a", 1)}), ()), True),
     (FixtureDocument, ("X", "sets", "times", "schemes"), lambda: FixtureDocument(space(), {}, {}, {}),
      lambda: FixtureDocument(space(), {"S": StochasticSet()}, {}, {}), False),
+    (TimeClassification, ("cover", "ti_part", "acc_part"), classification,
+     lambda: classification((RandomTime({"a": 0, "b": 0}),)), False),
 ]
 
 
@@ -123,3 +136,19 @@ def test_record_contract(cls, fields, make, make_other, hashable):
         with pytest.raises(AttributeError, match=name):
             delattr(a, name)
     assert fields_of(a, fields) == fields_of(twin, fields)
+
+
+@pytest.mark.parametrize("cls, fields, make", [row[:3] for row in ROWS if row[0] is not StochasticSet],
+                         ids=[row[0].__name__ for row in ROWS if row[0] is not StochasticSet])
+def test_record_constructor_binds_each_field_once(cls, fields, make):
+    values = fields_of(make(), fields)
+    refusal = rf"{cls.__name__}\(\) takes {', '.join(fields)} once each"
+    for args, kwargs in [
+        (values[:-1], {}),  # the last field missing
+        ((), dict(zip(fields[1:], values[1:]))),  # the first field missing
+        ((*values, None), {}),  # an extra positional argument
+        (values, {"unknown": None}),  # an unknown keyword
+        (values[:1], dict(zip(fields, values))),  # the first field by position and by keyword
+    ]:
+        with pytest.raises(TypeError, match=refusal):
+            cls(*args, **kwargs)
