@@ -1,8 +1,10 @@
 """Batch front-end: load a fixture document, run a solver or check, emit one
 JSON report on stdout.
 
-Exit codes: 0 success, 2 parse failure (bad JSON or document shape),
-3 invariant violation in the document, 4 solver precondition failure.
+Exit codes: 0 success, 2 I/O or parse failure (a document that cannot be
+read, bad JSON or document shape, a report that cannot be written: a full
+disk, a closed pipe or a closed stdout), 3 invariant violation in the document, 4 solver
+precondition failure.
 
 A call pauses the cyclic garbage collector and restores the state it found
 on every exit: a JSON document holds no cycle, yet the collector re-scans
@@ -92,11 +94,24 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _emit(obj, fmt: str):
+def _emit(obj, fmt: str, code: int = EXIT_OK) -> int:
+    """Print the report and return ``code``.  A report that cannot be
+    written (a full disk, a closed pipe, a closed stdout) is an I/O failure
+    like an unreadable document: one stderr line and exit code 2."""
     if fmt == "pretty":
-        print(json.dumps(obj, sort_keys=True, indent=2))
+        text = json.dumps(obj, sort_keys=True, indent=2)
     else:
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    if sys.stdout is None:  # a process started with stdout closed (``>&-``)
+        error = "stdout is closed"
+    else:
+        try:
+            print(text, flush=True)
+            return code
+        except OSError as exc:
+            error = exc
+    print(f"cannot write report: {error}", file=sys.stderr)
+    return EXIT_PARSE
 
 
 def _read_document(path):
@@ -209,11 +224,10 @@ def _main(argv) -> int:
         _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command == "theta":
         try:
-            _emit(theta(args.k, args.m), args.format)
+            return _emit(theta(args.k, args.m), args.format)
         except ValueError:  # json cannot print an int past the interpreter's digit limit
             print(f"precondition failure: theta value has more than {sys.get_int_max_str_digits()} digits", file=sys.stderr)
             return EXIT_PRECONDITION
-        return EXIT_OK
     document_path = extra[0] if extra else None
 
     try:
@@ -236,8 +250,7 @@ def _main(argv) -> int:
                 "named_times": sorted(doc.times),
                 "schemes": sorted(doc.schemes),
             }
-        _emit(report, args.format)
-        return EXIT_OK if not violations else EXIT_INVALID
+        return _emit(report, args.format, EXIT_OK if not violations else EXIT_INVALID)
 
     if violations:
         for line in violations:
@@ -255,8 +268,7 @@ def _main(argv) -> int:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    _emit(report, args.format)
-    return EXIT_OK
+    return _emit(report, args.format)
 
 
 if __name__ == "__main__":

@@ -9,6 +9,12 @@ all infinite index sequences collapses to an exact finite computation.
 
 Set values are bitmasks over a fixed enumeration of the ground set, which
 keeps every equality test exact.
+
+This module also owns the literal format, whose nodes are keyed by dotted
+index strings such as ``"2.1"``.  When every entry is one digit 1-9 (as
+in any scheme of branching 9 or less), the keys of a literal are read and
+written over the whole key column at once, by a few builtin str/bytes
+passes; any other column goes one key at a time.
 """
 
 from __future__ import annotations
@@ -442,17 +448,67 @@ def scheme_to_literal(s: SouslinScheme) -> dict:
     """JSON-ready literal: ground_set, paving, depth, branching, and nodes
     keyed by dotted index strings, in the order the scheme stores them.
     Each distinct mask's element list is built once and shared by the
-    nodes and members that hold it, and each entry is rendered once."""
+    nodes and members that hold it.  When no entry is above 9 the keys are
+    written over the whole column at once (:func:`_bulk_keys`); otherwise
+    each distinct entry is rendered once and each key joined from them."""
     ground = [str(e) for e in s.paving.ground]
     lists = {mask: _elements(ground, mask) for mask in {*s.paving.member_masks, *s.nodes.values()}}
-    texts = {e: str(e) for e in set(chain.from_iterable(s.nodes))}
+    keys = _bulk_keys(s)
+    if keys is None:
+        texts = {e: str(e) for e in set(chain.from_iterable(s.nodes))}
+        keys = [".".join(map(texts.__getitem__, idx)) for idx in s.nodes]
     return {
         "ground_set": ground,
         "paving": [lists[m] for m in s.paving.member_masks],
         "depth": s.depth,
         "branching": s.branching,
-        "nodes": {".".join(map(texts.__getitem__, idx)): lists[mask] for idx, mask in s.nodes.items()},
+        "nodes": dict(zip(keys, map(lists.__getitem__, s.nodes.values()))),
     }
+
+
+# The whole-column key paths: a key whose entries are all one digit 1-9
+# is its index tuple as bytes with a dot between entries, so a few builtin
+# str/bytes passes replace a split and a lookup per key.
+
+# separator byte 0 -> "/", entry 1-9 -> its digit
+_ENTRY_DIGITS = bytes.maketrans(bytes(range(10)), b"/123456789")
+# digit 1-9 -> entry 1-9
+_DIGIT_ENTRIES = bytes.maketrans(b"123456789", bytes(range(1, 10)))
+# digit 1-9 -> "d", dot and key separator "/" -> ".", any other byte -> "!"
+_KEY_SHAPE = bytes(ord("d") if chr(b) in "123456789" else ord(".") if chr(b) in "./" else ord("!") for b in range(256))
+
+
+def _bulk_keys(s: SouslinScheme):
+    """Dotted keys of ``s.nodes`` in order, or None when an entry is above
+    9 (the largest entry is kept by the scheme's own scan): an entry of
+    10-255 would be written as a raw byte, and one above 255 has none."""
+    if s._top > 9:
+        return None
+    if not s.nodes:
+        return []
+    data = b"\0".join(map(bytes, s.nodes))
+    return ".".join(data.translate(_ENTRY_DIGITS).decode()).replace("./.", "/").split("/")
+
+
+def _bulk_indices(keys):
+    """Index tuples of the dotted ``keys`` in order, or None unless every
+    key is entries 1-9 written as ``scheme_to_literal`` writes them.
+
+    The keys joined with "/" must be ASCII (checked first, so a lone
+    surrogate never reaches the encoder), read ``d.d.…d`` once each digit
+    1-9 is a d and each "/" a dot (so they hold no other character), and
+    split back into ``len(keys)`` keys (no key holds a "/")."""
+    try:
+        text = "/".join(keys)
+    except TypeError:  # a key that is not a string
+        return None
+    if not text.isascii():
+        return None
+    data = text.encode()
+    shape = data.translate(_KEY_SHAPE)
+    if shape != b"d." * (len(shape) // 2) + b"d" or data.count(b"/") + 1 != len(keys):
+        return None
+    return list(map(tuple, data.translate(_DIGIT_ENTRIES, b".").split(b"/")))
 
 
 def _index_of(key, parts, entries: dict) -> tuple:
@@ -470,6 +526,22 @@ def _index_of(key, parts, entries: dict) -> tuple:
     return tuple(map(entries.__getitem__, parts))
 
 
+def _indices(keys):
+    """Index tuple of each dotted key, one key at a time; each distinct
+    entry text is parsed once."""
+    entries: dict[str, int] = {}
+    for key in keys:
+        try:
+            parts = key.split(".")
+        except AttributeError:  # a key that is not a string
+            parts = str(key).split(".")
+        try:
+            index = tuple(map(entries.__getitem__, parts))
+        except KeyError:
+            index = _index_of(key, parts, entries)
+        yield index
+
+
 def _array(value) -> list:
     """A JSON array of ground elements; any other value is refused."""
     if not isinstance(value, list):
@@ -478,7 +550,12 @@ def _array(value) -> list:
 
 
 def scheme_from_literal(obj) -> SouslinScheme:
-    """Parse the scheme literal format; raises ValueError on malformed input."""
+    """Parse the scheme literal format; raises ValueError on malformed input.
+
+    The keys are decoded over the whole column at once when every key is
+    entries 1-9 written as :func:`scheme_to_literal` writes them
+    (:func:`_bulk_indices`); otherwise one key at a time, which also names
+    the first bad key.  Each distinct node value becomes a mask once."""
     if not isinstance(obj, dict):
         raise ValueError("scheme literal must be an object")
     try:
@@ -497,18 +574,12 @@ def scheme_from_literal(obj) -> SouslinScheme:
     if not all(isinstance(e, str) for e in ground):
         raise ValueError("ground set elements must be strings")
     nodes = {}
-    # entry text -> entry and node value -> mask, each parsed once per literal
-    entries: dict[str, int] = {}
+    # node value -> mask, parsed once per literal
     masks: dict[tuple, int] = {}
-    for key, value in raw_nodes.items():
-        try:
-            parts = key.split(".")
-        except AttributeError:  # a key that is not a string
-            parts = str(key).split(".")
-        try:
-            index = tuple(map(entries.__getitem__, parts))
-        except KeyError:
-            index = _index_of(key, parts, entries)
+    indices = _bulk_indices(raw_nodes)
+    if indices is None:
+        indices = _indices(raw_nodes)  # lazy, so a bad key and a bad value are named in node order
+    for index, value in zip(indices, raw_nodes.values()):
         if type(value) is not list:
             _array(value)  # a list subclass passes, anything else raises
         elems = tuple(value)

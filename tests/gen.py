@@ -254,6 +254,27 @@ def oracle_refines(finer: SigmaAlgebra, coarser: SigmaAlgebra) -> bool:
     return all(any(fb <= cb for cb in coarser.blocks) for fb in finer.blocks)
 
 
+def oracle_index_of_key(key) -> tuple:
+    """A dotted scheme node key's index, read one entry at a time: each
+    entry must be written as ``str(int)`` writes it; a key that is not a
+    string is read as its ``str``."""
+    index = []
+    for part in str(key).split("."):
+        try:
+            entry = int(part)
+        except ValueError:
+            entry = None
+        if entry is None or str(entry) != part:
+            raise ValueError(f"bad scheme index key {key!r}")
+        index.append(entry)
+    return tuple(index)
+
+
+def oracle_key_of_index(index) -> str:
+    """The dotted key of one index tuple."""
+    return ".".join(map(str, index))
+
+
 def closure_under_ops(ground, members):
     """Close a family of frozensets under pairwise unions and intersections."""
     family = {frozenset(m) for m in members}

@@ -13,9 +13,10 @@ SCRIPT = ROOT / "tools" / "ab_cli.py"
 
 
 SUMMARY = re.compile(
-    r"median B/A over (\d+) rounds of \d+ ops: (\d+\.\d{3}); "
+    r"median B/A over (\d+) rounds of (\d+) ops: (\d+\.\d{3}); "
     r"B faster in (\d+) of (\d+) rounds; B/A quartiles (\d+\.\d{3})-(\d+\.\d{3})"
 )
+FAMILY = re.compile(r"(\w[\w -]*): median B/A (\d+\.\d{3}) over (\d+) ops")
 
 
 def run_ab(a, b, rounds=1):
@@ -24,17 +25,21 @@ def run_ab(a, b, rounds=1):
 
 
 def check_summary(rounds):
-    """Run a checkout against itself; its round lines and last line agree."""
+    """Run a checkout against itself; its round lines, its one family line
+    (every section-souslin op is a ``section``) and its last line agree."""
     result = run_ab(ROOT, ROOT, rounds)
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert len(lines) == rounds + 1
-    assert [line.split(":")[0] for line in lines[:-1]] == [f"round {r}" for r in range(1, rounds + 1)]
-    ratios = [float(line.rsplit(" ", 1)[1]) for line in lines[:-1]]
+    assert len(lines) == rounds + 2
+    assert [line.split(":")[0] for line in lines[:rounds]] == [f"round {r}" for r in range(1, rounds + 1)]
+    ratios = [float(line.rsplit(" ", 1)[1]) for line in lines[:rounds]]
+    family = FAMILY.fullmatch(lines[-2])
+    assert family, lines[-2]
     summary = SUMMARY.fullmatch(lines[-1])
     assert summary, lines[-1]
-    n, median, wins, of, q1, q3 = summary.groups()
+    n, ops, median, wins, of, q1, q3 = summary.groups()
     assert int(n) == int(of) == rounds
+    assert family.groups() == ("section", median, ops)
     # a ratio printed as 1.000 may be a win or not
     assert sum(ratio < 1 for ratio in ratios) <= int(wins) <= sum(ratio <= 1 for ratio in ratios)
     assert min(ratios) <= float(q1) <= float(median) <= float(q3) <= max(ratios)

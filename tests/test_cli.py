@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -50,6 +51,44 @@ def test_theta_via_module_execution():
     )
     assert result.returncode == 0
     assert result.stdout == "3\n"
+
+
+# A report that cannot be written is an I/O failure (exit 2, one stderr
+# line, no traceback), for a short report that sits in the stdout buffer
+# until the flush and for one longer than the buffer.
+SHORT_REPORT = ["validate", FIX_B]
+LONG_REPORT = ["--format", "pretty", "souslin", "intersect", "--scheme", "C", "--scheme", "D", str(FIXTURES / "souslin_small.json")]
+
+
+def run_module_into(stdout, argv):
+    return subprocess.run([sys.executable, "-m", "finsection", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [SHORT_REPORT, LONG_REPORT], ids=["short", "long"])
+def test_a_report_written_to_a_full_disk_exits_2_with_one_line(argv):
+    with open("/dev/full", "w") as full:
+        result = run_module_into(full, argv)
+    assert result.returncode == 2
+    assert result.stderr == f"cannot write report: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.parametrize("argv", [SHORT_REPORT, LONG_REPORT], ids=["short", "long"])
+def test_a_report_written_to_a_closed_pipe_exits_2_with_one_line(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = run_module_into(write_end, argv)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == f"cannot write report: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
+
+def test_closed_stdout_is_a_write_failure(capsys, monkeypatch):
+    # a process started with stdout closed (``>&-``) sees sys.stdout as None
+    monkeypatch.setattr(sys, "stdout", None)
+    assert run_cli(capsys, SHORT_REPORT) == (2, "", "cannot write report: stdout is closed\n")
 
 
 def test_validate_ok(capsys):
@@ -732,6 +771,7 @@ def set_node(key, value):
         pytest.param(set_node("\u0661", ["a"]), "bad scheme index key '\u0661'", id="key-arabic-indic-digit"),
         pytest.param(set_node(" 1", ["a"]), "bad scheme index key ' 1'", id="key-leading-space"),
         pytest.param(set_node("01", ["a"]), "bad scheme index key '01'", id="key-leading-zero-beside-1"),
+        pytest.param(set_node("\ud800", ["a"]), "bad scheme index key '\\ud800'", id="key-lone-surrogate"),
         pytest.param(set_node("0", ["a"]), "stored index (0,) violates the branching bound", id="key-0"),
         pytest.param(set_node("1", "ab"), "'ab' is not a collection of ground elements", id="node-value-string"),
         pytest.param(

@@ -21,7 +21,7 @@ from finsection import (
 )
 
 from finsection.souslin import scheme_from_literal, scheme_to_literal
-from gen import closure_under_ops, oracle_eval
+from gen import closure_under_ops, oracle_eval, oracle_index_of_key, oracle_key_of_index
 
 GROUND3 = ("1", "2", "3")
 
@@ -620,11 +620,79 @@ def test_literal_with_integer_keys_and_list_subclass_values_loads_as_its_text_fo
     assert scheme_to_literal(got) == scheme_to_literal(want)
 
 
-@pytest.mark.parametrize("key", ["1_0", "١", " 1", "1 ", "01", "+1", "-0", "1.", ".1", "1..2", "", "1.02"])
+@pytest.mark.parametrize("key", ["1_0", "١", " 1", "1 ", "01", "+1", "-0", "1.", ".1", "1..2", "", "1.02", "\ud800", "1/2", "\x00"])
 def test_literal_key_must_be_the_canonical_rendering(key):
     literal = {"ground_set": ["a"], "paving": [["a"]], "depth": 2, "branching": 12, "nodes": {key: ["a"]}}
     with pytest.raises(ValueError, match="bad scheme index key"):
         scheme_from_literal(literal)
+
+
+# key texts and entry texts that are not a single canonical digit 1-9
+KEY_JUNK = ["10", "12", "0", "01", "-1", "+1", " 1", "\u0661", "\ud800", "", "1/2", "1.", ".1", "\x00"]
+
+
+def literal_with_junk_keys(rng, branching):
+    """A literal over all subsets of three elements whose canonical keys
+    are mixed, in about half the literals, with KEY_JUNK as whole keys or
+    as one entry of a key."""
+    ground = ["a", "b", "c"]
+    members = [[e for i, e in enumerate(ground) if bits >> i & 1] for bits in range(8)]
+    depth = rng.randint(1, 4)
+    indices = [i for n in range(1, depth + 1) for i in product(range(1, branching + 1), repeat=n)]
+    keys = [oracle_key_of_index(i) for i in rng.sample(indices, min(len(indices), rng.randint(1, 12)))]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        junk = rng.choice(KEY_JUNK)
+        if rng.random() < 0.5:
+            parts = rng.choice(keys).split(".")
+            parts[rng.randrange(len(parts))] = junk
+            junk = ".".join(parts)
+        keys.insert(rng.randint(0, len(keys)), junk)
+    nodes = {key: rng.choice(members) for key in keys}
+    return {"ground_set": ground, "paving": members, "depth": depth, "branching": branching, "nodes": nodes}
+
+
+def outcome(build):
+    try:
+        return build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("branching", [3, 9, 12])
+def test_literal_keys_decode_and_encode_as_one_key_at_a_time_would(branching):
+    rng = random.Random(f"literal-keys:{branching}")
+    for _ in range(300):
+        literal = literal_with_junk_keys(rng, branching)
+
+        def reference():
+            paving = Paving.from_sets(literal["ground_set"], literal["paving"])
+            nodes = {oracle_index_of_key(k): paving.mask_of(v) for k, v in literal["nodes"].items()}
+            return list(SouslinScheme(paving, literal["depth"], branching, nodes).nodes.items())
+
+        want = outcome(reference)
+        got = outcome(lambda: scheme_from_literal(literal))
+        if isinstance(got, tuple):  # refused
+            assert got == want, literal
+            continue
+        assert list(got.nodes.items()) == want, literal
+        written = scheme_to_literal(got)["nodes"]
+        assert list(written) == [oracle_key_of_index(i) for i in got.nodes]
+        assert written == literal["nodes"]
+
+
+@pytest.mark.parametrize(
+    "branching, indices",
+    [
+        (12, [(1, 2), (10,), (3, 11, 12), (9,)]),
+        (12, [(12, 12, 12)]),
+        (10**9, [(1,), (10**9, 2), (5, 10**9)]),
+        (10**9, [(1, 9), (2,)]),
+    ],
+)
+def test_literal_keys_with_any_entries_are_written_as_join_writes_them(branching, indices):
+    paving = Paving.from_sets(("a", "b"), [["a"], ["b"]])
+    s = SouslinScheme(paving, 3, branching, dict.fromkeys(indices, paving.mask_of(["a"])))
+    assert list(scheme_to_literal(s)["nodes"]) == [oracle_key_of_index(i) for i in indices]
 
 
 def test_literal_keys_naming_one_index_do_not_collide():

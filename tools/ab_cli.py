@@ -15,7 +15,10 @@ the sides stops the run with exit code 1.  Each round prints the ratio of
 B's total call time to A's; the last line gives their median, where
 below 1 means B is faster, the number of rounds B was faster in, and the
 lower and upper quartiles of the ratios, so it shows whether B wins
-round after round by more than the rounds spread.
+round after round by more than the rounds spread.  Just before it, one
+line per command family (the argv words before the first option, such as
+``souslin eval`` or ``section``) gives that family's median B/A over the
+rounds and its number of ops, so it shows which commands a gain sits in.
 
 It is meant for sizing a change while it is written; performance claims
 come from ``bench/run.py``.  Each side's package is imported once, before
@@ -41,6 +44,8 @@ import json
 import statistics
 import sys
 import tempfile
+from collections import Counter
+from itertools import takewhile
 from pathlib import Path
 from time import perf_counter
 
@@ -101,6 +106,8 @@ def main(argv=None) -> int:
         for name, doc in workload.documents():
             (Path(tmp) / f"{name}.json").write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
         argvs = [[*op.argv, str(Path(tmp) / f"{op.doc}.json")] for op in workload.ops]
+        families = [" ".join(takewhile(lambda word: not word.startswith("-"), op.argv)) for op in workload.ops]
+        family_ratios = {family: [] for family in families}
         for cli in sides:  # warm-up
             call(cli, argvs[0])
         gc.collect()
@@ -108,17 +115,24 @@ def main(argv=None) -> int:
         ratios = []
         for r in range(args.rounds):
             seconds = [0.0, 0.0]
+            family_seconds = {family: [0.0, 0.0] for family in family_ratios}
             for i, argv in enumerate(argvs):
                 outcomes = [None, None]
                 for side in (0, 1) if (r + i) % 2 == 0 else (1, 0):
                     outcomes[side], elapsed = call(sides[side], argv)
                     seconds[side] += elapsed
+                    family_seconds[families[i]][side] += elapsed
                 if outcomes[0] != outcomes[1]:
                     fields = [f for f, x, y in zip(("exit code", "stdout", "stderr"), *outcomes) if x != y]
                     print(f"op {i} ({' '.join(argv[:-1])} on {Path(argv[-1]).name}): {', '.join(fields)} differ")
                     return 1
             ratios.append(seconds[1] / seconds[0])
+            for family, (a, b) in family_seconds.items():
+                family_ratios[family].append(b / a)
             print(f"round {r + 1}: A {seconds[0]:.3f} s, B {seconds[1]:.3f} s, B/A {ratios[-1]:.3f}", flush=True)
+    ops = Counter(families)
+    for family, family_ratio in family_ratios.items():
+        print(f"{family}: median B/A {statistics.median(family_ratio):.3f} over {ops[family]} ops")
     wins = sum(ratio < 1 for ratio in ratios)
     q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive") if len(ratios) > 1 else ratios * 3
     print(
