@@ -12,6 +12,15 @@ the half-built document every few hundred allocations.  In a fresh process,
 ``section --kind optional --strategy debut`` on a 5.4 MB document (4096
 atoms x 64 steps) took 0.42-0.57 s with the pause, against 0.61-0.80 s
 without it, at the same 105 MB peak (Python 3.11, shared 2-vCPU machine).
+
+A ``union``, ``intersect`` or ``monotonize`` report's ``result_scheme.nodes``
+table is written by :func:`_nodes_text`, not by ``json.dumps``: a table of
+thousands of nodes holds a few dozen distinct member lists, and the writer
+encodes each distinct list once.  ``json.dumps`` writes the rest of the
+report with a NaN in the table's place, and the table's text is spliced in
+at ``"nodes":NaN``.  That text occurs once: no report holds any other
+float, and JSON escapes every quote inside a string, so ``s":`` with a
+bare quote only ends a key.  The bytes are those ``json.dumps`` writes.
 """
 
 from __future__ import annotations
@@ -20,10 +29,11 @@ import argparse
 import gc
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .document import DocumentParseError, build_document, parse_document, time_to_literal
 from .filtered import INF, classify_time
-from .measure import format_rational, parse_rational
+from .measure import _cut, format_rational, parse_rational
 from .section import (
     STRATEGY_DEBUT,
     STRATEGY_SOUSLIN,
@@ -53,7 +63,10 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+        limit = sys.get_int_max_str_digits()
+        if len(text) > limit and text.isdecimal():
+            raise argparse.ArgumentTypeError(f"{text[:20] + '...'!r} has more than {limit} digits")
+        raise argparse.ArgumentTypeError(f"{_cut(repr(text))} is not an integer")
     if value < 1:
         raise argparse.ArgumentTypeError("value must be >= 1")
     return value
@@ -94,14 +107,47 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
+def _nodes_text(nodes: dict, pretty: bool) -> str:
+    """``nodes`` as ``json.dumps(..., sort_keys=True)`` writes it at
+    ``result_scheme.nodes`` of a report, compact or at ``indent=2``.  Each
+    distinct member list is encoded once, found by its identity:
+    ``scheme_to_literal`` shares one list per mask, and a list that is not
+    shared is only encoded again.  A key is integers joined by dots, so it
+    is written as it is."""
+    if not nodes:
+        return "{}"
+    at, inner, colon = ("\n      ", "\n        ", '": ') if pretty else ("", "", '":')  # before an entry, before a member
+    values = nodes.values()
+    lists = dict(zip(map(id, values), values))
+    texts = {i: f"[{inner}{(',' + inner).join(map(encode_basestring_ascii, m))}{at}]" if m else "[]" for i, m in lists.items()}
+    keys = sorted(nodes)
+    pairs = zip(keys, map(texts.__getitem__, map(id, map(nodes.__getitem__, keys))))
+    # the closing brace sits one level (two spaces) left of the entries
+    return "{" + at + '"' + f',{at}"'.join(map(colon.join, pairs)) + at[:-2] + "}"
+
+
 def _emit(obj, fmt: str, code: int = EXIT_OK) -> int:
     """Print the report and return ``code``.  A report that cannot be
     written (a full disk, a closed pipe, a closed stdout) is an I/O failure
-    like an unreadable document: one stderr line and exit code 2."""
-    if fmt == "pretty":
-        text = json.dumps(obj, sort_keys=True, indent=2)
+    like an unreadable document: one stderr line and exit code 2.
+
+    A ``result_scheme`` goes to ``json.dumps`` with a NaN for its nodes
+    table, and :func:`_nodes_text` then writes the table in the place of
+    ``"nodes":NaN``, which no other part of a report can hold (see the
+    module docstring).  A report is built fresh and holds no cycle, so
+    ``json.dumps`` skips its cycle check."""
+    pretty = fmt == "pretty"
+    scheme = obj.get("result_scheme") if type(obj) is dict else None
+    if scheme is not None:
+        obj = {**obj, "result_scheme": {**scheme, "nodes": float("nan")}}
+    if pretty:
+        text = json.dumps(obj, sort_keys=True, indent=2, check_circular=False)
     else:
-        text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(obj, sort_keys=True, separators=(",", ":"), check_circular=False)
+    if scheme is not None:
+        key = '"nodes": ' if pretty else '"nodes":'
+        head, _, tail = text.partition(key + "NaN")
+        text = head + key + _nodes_text(scheme["nodes"], pretty) + tail
     if sys.stdout is None:  # a process started with stdout closed (``>&-``)
         error = "stdout is closed"
     else:

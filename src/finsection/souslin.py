@@ -448,9 +448,12 @@ def scheme_to_literal(s: SouslinScheme) -> dict:
     """JSON-ready literal: ground_set, paving, depth, branching, and nodes
     keyed by dotted index strings, in the order the scheme stores them.
     Each distinct mask's element list is built once and shared by the
-    nodes and members that hold it.  When no entry is above 9 the keys are
-    written over the whole column at once (:func:`_bulk_keys`); otherwise
-    each distinct entry is rendered once and each key joined from them."""
+    nodes and members that hold it; the CLI's report writer relies on this
+    and encodes each shared list once, found by its identity (a list that
+    is not shared is only encoded again).  When no entry is above 9 the
+    keys are written over the whole column at once (:func:`_bulk_keys`);
+    otherwise each distinct entry is rendered once and each key joined
+    from them."""
     ground = [str(e) for e in s.paving.ground]
     lists = {mask: _elements(ground, mask) for mask in {*s.paving.member_masks, *s.nodes.values()}}
     keys = _bulk_keys(s)

@@ -1,16 +1,21 @@
 import errno
 import io
+import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 import time
+import types
 from pathlib import Path
 
 import pytest
 
+from finsection import cli
 from finsection.cli import main
+from finsection.souslin import scheme_from_literal
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIX_A = str(FIXTURES / "fix_a.json")
@@ -543,6 +548,15 @@ LONG_K = "9" * 2200
     [
         pytest.param(["theta", "x", "1"], None, 2, "finsection theta: error: argument k: 'x' is not an integer", id="theta-text"),
         pytest.param(["theta", "0", "1"], None, 2, "finsection theta: error: argument k: value must be >= 1", id="theta-zero"),
+        # an argument past the digit limit is an integer all the same; a long one is quoted cut
+        pytest.param(
+            ["theta", "9" * 5000, "1"], None, 2,
+            "finsection theta: error: argument k: '99999999999999999999...' has more than 4300 digits", id="theta-k-past-digit-limit",
+        ),
+        pytest.param(
+            ["theta", "x" * 36, "1"], None, 2, "finsection theta: error: argument k: 'xxxxxxxxxxxxxxxxxxx... is not an integer",
+            id="theta-k-long-text",
+        ),
         pytest.param(["theta", "1", "2", "x"], None, 2, "finsection: error: unrecognized arguments: x", id="theta-extra"),
         pytest.param(["validate"], lambda d: [d], 2, "parse error: document must be a JSON object", id="not-an-object"),
         pytest.param(
@@ -808,6 +822,65 @@ def test_souslin_reports_match_golden_bytes(capsys, record):
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
     code, out, _ = run_cli(capsys, argv)
     assert (code, out) == (record["exit"], record["stdout"])
+
+
+# Ground elements that JSON escapes, or that spell the text the report
+# writer splices at ("NaN", "nodes", '"nodes":NaN').
+EDGE_GROUND = ("é", '"q"', "back\\slash", "\x00", "☃", "NaN", "nodes", '"nodes":NaN', "a")
+
+
+def random_scheme_literal(rng, ground, branching, depth):
+    members = [[e for i, e in enumerate(ground) if bits >> i & 1] for bits in range(1 << len(ground))]
+    indices = [i for n in range(1, depth + 1) for i in itertools.product(range(1, branching + 1), repeat=n)]
+    chosen = rng.sample(indices, rng.randint(0, len(indices)))
+    return {
+        "ground_set": ground,
+        "paving": members,
+        "depth": depth,
+        "branching": branching,
+        "nodes": {".".join(map(str, i)): rng.choice(members) for i in chosen},
+    }
+
+
+def souslin_report(rng, ground, operation, shapes):
+    """The CLI's own ``operation`` report over random schemes of the given
+    (branching, depth) shapes."""
+    schemes = {str(i): scheme_from_literal(random_scheme_literal(rng, ground, *shape)) for i, shape in enumerate(shapes)}
+    args = types.SimpleNamespace(operation=operation, scheme_names=list(schemes))
+    return cli._souslin_report(args, types.SimpleNamespace(schemes=schemes))
+
+
+def with_nodes(report, nodes):
+    return {**report, "result_scheme": {**report["result_scheme"], "nodes": nodes}}
+
+
+def writer_cases():
+    for seed in range(40):
+        rng = random.Random(seed)
+        ground = rng.sample(EDGE_GROUND, rng.randint(1, 4))
+        shapes = [(rng.randint(1, 3), rng.randint(1, 3)) for _ in "AB"]
+        yield souslin_report(rng, ground, "union", shapes)
+        yield souslin_report(rng, ground, "intersect", shapes)
+        yield souslin_report(rng, ground, "monotonize", shapes[:1])
+    # a union of four branching-3 schemes has branching 15, and keys such as "12.10"
+    wide = souslin_report(random.Random(0), ["NaN", "é"], "union", [(3, 2)] * 4)
+    assert wide["result_scheme"]["branching"] > 9 and "12.10" in wide["result_scheme"]["nodes"]
+    yield wide
+    yield with_nodes(wide, {})
+    yield with_nodes(wide, {key: list(members) for key, members in wide["result_scheme"]["nodes"].items()})  # lists not shared
+    yield with_nodes(wide, {"1": [], "2": ["NaN"], "1.1": []})
+
+
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+def test_merge_reports_are_written_as_json_dumps_writes_them(capsys, fmt):
+    """``_emit`` writes a report's nodes table itself; its bytes are those
+    of ``json.dumps`` with sorted keys, for each format."""
+    layout = {"indent": 2} if fmt == "pretty" else {"separators": (",", ":")}
+    for report in writer_cases():
+        before = json.dumps(report)
+        assert cli._emit(report, fmt) == 0
+        assert capsys.readouterr().out == json.dumps(report, sort_keys=True, **layout) + "\n"
+        assert json.dumps(report) == before  # the report is left as it was
 
 
 # Exit code and exact stdout of acceptance criterion 9's commands and of
