@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .measure import SigmaAlgebra, _cut, _Record, is_measurable, refines
+from .measure import SigmaAlgebra, _blocks_meeting, _cut, _Record, is_measurable, refines
 
 __all__ = [
     "INF",
@@ -329,7 +329,7 @@ def classify_time(tau: RandomTime, X: FilteredSpace) -> TimeClassification:
     if not is_set_of_kind(G, X, "optional"):
         raise ValueError("classify_time needs a stopping time")
     # per level, the blocks meeting it, in ``blocks`` order (by least atom)
-    levels = [(k, sorted(set(map(X.lookback(k)._block_of.__getitem__, hit)), key=min)) for k, hit in G.slices]
+    levels = [(k, sorted(_blocks_meeting(hit, X.lookback(k)), key=min)) for k, hit in G.slices]
     count = sum(len(blocks) for _, blocks in levels)
     if count * len(X.atoms) > _COVER_BUDGET:
         raise ValueError(f"classify_time: a cover of {count} times over {len(X.atoms)} atoms has over {_COVER_BUDGET} entries")

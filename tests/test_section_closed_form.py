@@ -9,9 +9,10 @@ slice-constant stopping time per thin slice and takes their minimum, and
 ``classify_time``'s cover against one restricted constant time per
 lookback block.  On exhaustive small spaces and seeded random ones, every
 report keeps its deficit within eps with a debut deficit of 0 (the
-projection is measurable, so its outer measure is its probability), and
-the souslin route's k* is the least number of leading slices that clears
-target - eps.
+projection is measurable, so its outer measure is its probability), the
+souslin route's k* is the least number of leading slices that clears
+target - eps, and the optional reports take the fewest leading thin rests
+that cover all but eps/2 of the rests' projection.
 """
 
 import random
@@ -129,17 +130,37 @@ def check_projections_weigh_their_outer_measure(X, *sets):
         assert gen.oracle_outer(projection(S), X.filtration[-1], X.space) == X.space.prob(projection(S))
 
 
+def check_thin_rests(res, O, X, eps, strategy):
+    """The optional report's time is the minimum of the inner section at
+    eps/2 and a prefix of the thin times that covers all but eps/2 of the
+    thin rests' projection, where one thin time fewer does not."""
+    part = decompose_optional(O, X)
+    inner = predictable_section(part.predictable_part, X, eps / 2, strategy).time
+    supports = [t.finite_support() for t in part.thin_times]
+    rest_mass = X.space.prob(frozenset().union(*supports))
+
+    def covers(j):
+        return rest_mass - X.space.prob(frozenset().union(*supports[:j])) <= eps / 2
+
+    prefixes = [j for j in range(len(supports) + 1) if combine_min([inner, *part.thin_times[:j]]) == res.time]
+    assert any(covers(j) and (j == 0 or not covers(j - 1)) for j in prefixes)
+
+
 def check_reports(P, O, M, X, eps):
     """Each solver's report on a predictable set P, an optional set O and an
     arbitrary set M keeps its deficit within eps (0 for M), with a debut
-    deficit of 0, and the souslin route's k* on P is minimal."""
+    deficit of 0, the souslin route's k* on P is minimal, and the optional
+    reports take the fewest thin rests the eps/2 stop allows."""
     prob = X.space.prob
     exact = measurable_section(M, X.space, X.grid)
     assert exact.deficit == exact.trace.oracle_deficit == 0
     for strategy in (STRATEGY_DEBUT, STRATEGY_SOUSLIN):
-        for res in (predictable_section(P, X, eps, strategy), optional_section(O, X, eps, strategy), accessible_section(O, X, eps, strategy)):
+        optional = (optional_section(O, X, eps, strategy), accessible_section(O, X, eps, strategy))
+        for res in (predictable_section(P, X, eps, strategy), *optional):
             assert 0 <= res.deficit <= eps
             assert res.trace.oracle_deficit == 0
+        for res in optional:
+            check_thin_rests(res, O, X, eps, strategy)
 
     def clears(k):  # the first k slices of P weigh at least target - eps
         return prob(projection(StochasticSet.from_slices(dict(P.slices[:k])))) >= prob(projection(P)) - eps
