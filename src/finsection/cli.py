@@ -1,10 +1,12 @@
 """Batch front-end: load a fixture document, run a solver or check, emit one
 JSON report on stdout.
 
-Exit codes: 0 success, 2 I/O or parse failure (a document that cannot be
-read, bad JSON or document shape, a report that cannot be written: a full
-disk, a closed pipe or a closed stdout), 3 invariant violation in the document, 4 solver
-precondition failure.
+A call runs parse argv -> load -> report -> write, and the first phase
+that fails sets the exit code: parse argv 2; load 2 when the document
+cannot be read or decoded (bad UTF-8, JSON or document shape), 3 on an
+invariant violation in it; report 4, a solver precondition failure; write
+2 (a full disk, a closed pipe or a closed stdout).  Otherwise it exits 0,
+or 3 for ``validate`` on a document with violations, which it reports.
 
 A call pauses the cyclic garbage collector and restores the state it found
 on every exit: a JSON document holds no cycle, yet the collector re-scans
@@ -34,33 +36,35 @@ from json.encoder import encode_basestring_ascii
 from .document import DocumentParseError, build_document, parse_document, time_to_literal
 from .filtered import INF, classify_time
 from .measure import _cut, format_rational, parse_rational
-from .section import (
-    STRATEGY_DEBUT,
-    STRATEGY_SOUSLIN,
-    _check_epsilon,
-    accessible_section,
-    measurable_section,
-    optional_section,
-    predictable_section,
-)
-from .souslin import (
-    check_monotone,
-    eval_scheme,
-    merge_intersection,
-    merge_union,
-    monotonize,
-    scheme_to_literal,
-    theta,
-)
+from .section import STRATEGY_DEBUT, STRATEGY_SOUSLIN, _check_epsilon, accessible_section, measurable_section
+from .section import optional_section, predictable_section
+from .souslin import check_monotone, eval_scheme, merge_intersection, merge_union, monotonize, scheme_to_literal, theta
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_INVALID = 3
 EXIT_PRECONDITION = 4
 
+# The parser offers each table's keys as the choices, in this order.
+_KINDS = {  # measurable_section takes no epsilon and no strategy
+    "predictable": predictable_section,
+    "optional": optional_section,
+    "measurable": lambda target, X, eps, strategy: measurable_section(target, X.space, X.grid),
+    "accessible": accessible_section,
+}
+_STRATEGIES = {"debut": STRATEGY_DEBUT, "souslin": STRATEGY_SOUSLIN}
+_OPERATIONS = {
+    "eval": lambda schemes: schemes[0],
+    "union": merge_union,
+    "intersect": merge_intersection,
+    "monotonize": lambda schemes: monotonize(schemes[0]),
+}
+
 
 def _positive_int(text: str) -> int:
     try:
+        if not (text.isascii() and text.lstrip("-").isdecimal()):  # int() also takes spaces, '_', '+' and other scripts' digits
+            raise ValueError
         value = int(text)
     except ValueError:
         limit = sys.get_int_max_str_digits()
@@ -73,11 +77,9 @@ def _positive_int(text: str) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="finsection",
-        description="Section-theorem toolkit over finite filtered probability spaces.",
-    )
-    parser.add_argument("--seed", type=int, default=None, help="seed for randomized workflows (reports stay deterministic per seed)")
+    description = "Section-theorem toolkit over finite filtered probability spaces."
+    parser = argparse.ArgumentParser(prog="finsection", description=description)
+    parser.add_argument("--seed", type=int, default=None, help="reserved for randomized workflows; no command reads it")
     parser.add_argument("--format", choices=("json", "pretty"), default="json", help="report rendering")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -88,16 +90,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("validate", help="check every document invariant")
 
     p = sub.add_parser("section", help="run a section solver on a named set")
-    p.add_argument("--kind", required=True, choices=("predictable", "optional", "measurable", "accessible"))
+    p.add_argument("--kind", required=True, choices=_KINDS)
     p.add_argument("--set", required=True, dest="set_name")
     p.add_argument("--epsilon", default="0/1")
-    p.add_argument("--strategy", choices=("debut", "souslin"), default="souslin")
+    p.add_argument("--strategy", choices=_STRATEGIES, default="souslin")
 
     p = sub.add_parser("classify-time", help="accessible/totally-inaccessible decomposition of a stopping time")
     p.add_argument("--time", required=True, dest="time_name")
 
     p = sub.add_parser("souslin", help="scheme operations on named schemes")
-    p.add_argument("operation", choices=("eval", "union", "intersect", "monotonize"))
+    p.add_argument("operation", choices=_OPERATIONS)
     p.add_argument("--scheme", required=True, action="append", dest="scheme_names")
 
     return parser
@@ -187,18 +189,30 @@ def _lookup(table: dict, name: str, kind: str):
     return table[name]
 
 
+def _theta_report(args, doc) -> int:
+    value, limit = theta(args.k, args.m), sys.get_int_max_str_digits()
+    if limit and value >= 10**limit:  # json cannot print an int past the interpreter's digit limit
+        raise ValueError(f"theta value has more than {limit} digits")
+    return value
+
+
+def _validate_report(args, doc) -> dict:
+    """``doc`` is the document, or the list of its violations if it has any."""
+    if type(doc) is list:
+        return {"status": "invalid", "violations": sorted(doc)}
+    return {"status": "ok", "violations": [], "summary": {
+        "atoms": len(doc.X.atoms),
+        "times": doc.X.n_times,
+        "sets": sorted(doc.sets),
+        "named_times": sorted(doc.times),
+        "schemes": sorted(doc.schemes),
+    }}
+
+
 def _section_report(args, doc) -> dict:
     target = _lookup(doc.sets, args.set_name, "set")
     eps = _check_epsilon(parse_rational(args.epsilon))  # every kind: measurable_section takes no epsilon, but the report prints it
-    strategy = STRATEGY_DEBUT if args.strategy == "debut" else STRATEGY_SOUSLIN
-    if args.kind == "predictable":
-        result = predictable_section(target, doc.X, eps, strategy)
-    elif args.kind == "optional":
-        result = optional_section(target, doc.X, eps, strategy)
-    elif args.kind == "accessible":
-        result = accessible_section(target, doc.X, eps, strategy)
-    else:
-        result = measurable_section(target, doc.X.space, doc.X.grid)
+    result = _KINDS[args.kind](target, doc.X, eps, _STRATEGIES[args.strategy])
     return {
         "kind": args.kind,
         "strategy": result.strategy,
@@ -216,13 +230,12 @@ def _section_report(args, doc) -> dict:
 def _classify_report(args, doc) -> dict:
     tau = _lookup(doc.times, args.time_name, "time")
     part = classify_time(tau, doc.X)
-    ti_mass = doc.X.space.prob(part.ti_part.finite_support())
     return {
         "time": time_to_literal(tau),
         "ti_part": time_to_literal(part.ti_part),
         "acc_part": time_to_literal(part.acc_part),
         "cover": [time_to_literal(rho) for rho in part.cover],
-        "ti_finite_mass": format_rational(ti_mass),
+        "ti_finite_mass": format_rational(doc.X.space.prob(part.ti_part.finite_support())),
         "covered": sorted(f"{atom}@{k}" for atom, k in part.acc_part.values.items() if k != INF),
     }
 
@@ -232,14 +245,7 @@ def _souslin_report(args, doc) -> dict:
     op = args.operation
     if op in ("eval", "monotonize") and len(schemes) != 1:
         raise ValueError(f"souslin {op} takes exactly one scheme")
-    if op == "eval":
-        result = schemes[0]
-    elif op == "monotonize":
-        result = monotonize(schemes[0])
-    elif op == "union":
-        result = merge_union(schemes)
-    else:
-        result = merge_intersection(schemes)
+    result = _OPERATIONS[op](schemes)
     evaluated = eval_scheme(result)
     report = {
         "operation": op,
@@ -250,6 +256,15 @@ def _souslin_report(args, doc) -> dict:
     if op != "eval":
         report["result_scheme"] = scheme_to_literal(result)
     return report
+
+
+_REPORTS = {
+    "theta": _theta_report,
+    "validate": _validate_report,
+    "section": _section_report,
+    "classify-time": _classify_report,
+    "souslin": _souslin_report,
+}
 
 
 def main(argv=None) -> int:
@@ -266,55 +281,29 @@ def _main(argv) -> int:
     # a data subcommand takes the document path as an optional trailing
     # positional, theta takes none; parse_known_args keeps it order-free
     args, extra = _PARSER.parse_known_args(argv)
-    if len(extra) > (args.command != "theta") or (extra and extra[0].startswith("-")):
+    reads = args.command != "theta"
+    if len(extra) > reads or (extra and extra[0].startswith("-")):
         _PARSER.error(f"unrecognized arguments: {' '.join(extra)}")
-    if args.command == "theta":
-        try:
-            return _emit(theta(args.k, args.m), args.format)
-        except ValueError:  # json cannot print an int past the interpreter's digit limit
-            print(f"precondition failure: theta value has more than {sys.get_int_max_str_digits()} digits", file=sys.stderr)
-            return EXIT_PRECONDITION
-    document_path = extra[0] if extra else None
 
+    doc, violations = None, []
     try:
-        raw = parse_document(_read_document(document_path))
-        doc, violations = build_document(raw)
+        if reads:
+            doc, violations = build_document(parse_document(_read_document(extra[0] if extra else None)))
     except DocumentParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-
-    if args.command == "validate":
-        report = {
-            "status": "ok" if not violations else "invalid",
-            "violations": sorted(violations),
-        }
-        if doc is not None:
-            report["summary"] = {
-                "atoms": len(doc.X.atoms),
-                "times": doc.X.n_times,
-                "sets": sorted(doc.sets),
-                "named_times": sorted(doc.times),
-                "schemes": sorted(doc.schemes),
-            }
-        return _emit(report, args.format, EXIT_OK if not violations else EXIT_INVALID)
-
-    if violations:
+    if violations and args.command != "validate":
         for line in violations:
             print(f"invariant violation: {line}", file=sys.stderr)
         return EXIT_INVALID
 
-    try:
-        if args.command == "section":
-            report = _section_report(args, doc)
-        elif args.command == "classify-time":
-            report = _classify_report(args, doc)
-        else:
-            report = _souslin_report(args, doc)
+    try:  # a document with violations is None; validate reports them
+        report = _REPORTS[args.command](args, doc or violations)
     except ValueError as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
-    return _emit(report, args.format)
+    return _emit(report, args.format, EXIT_INVALID if violations else EXIT_OK)
 
 
 if __name__ == "__main__":

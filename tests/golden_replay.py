@@ -2,11 +2,12 @@
 
 Reads ``golden_cli.json``, ``golden_souslin.json`` and ``golden_debut.json``
 from ``tests/fixtures``, runs each record's argv (a ``.json`` argument names
-a fixture file) and compares the exit code and stdout with the record.  It
-prints one line per record that differs, then a summary line, and exits 1
-if any record differs.  It imports the package from this checkout's
-``src`` and nothing outside the standard library, so it runs under any
-interpreter the package supports, whatever its hash seed:
+a fixture file) and compares the exit code and stdout with the record,
+and the stderr too where the record carries one.  It prints one line per
+record that differs, then a summary line, and exits 1 if any record
+differs.  It imports the package from this checkout's ``src`` and nothing
+outside the standard library, so it runs under any interpreter the
+package supports, whatever its hash seed:
 
     PYTHONHASHSEED=1 python3 tests/golden_replay.py
 """
@@ -23,18 +24,20 @@ GOLDEN = ("golden_cli.json", "golden_souslin.json", "golden_debut.json")
 
 
 def replay(main) -> tuple:
-    """(number of records, one line per record whose exit code or stdout differs)."""
+    """(number of records, one line per record whose exit code, stdout or
+    recorded stderr differs)."""
     records = [record for name in GOLDEN for record in json.loads((FIXTURES / name).read_text(encoding="utf-8"))]
     differing = []
     for record in records:
         argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             try:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
-        if (code, stdout.getvalue()) != (record["exit"], record["stdout"]):
+        got = (code, stdout.getvalue(), stderr.getvalue())
+        if got != (record["exit"], record["stdout"], record.get("stderr", got[2])):
             differing.append(f"differs: {' '.join(record['argv'])} (exit {code}, expected {record['exit']})")
     return len(records), differing
 

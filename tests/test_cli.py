@@ -1,3 +1,4 @@
+import argparse
 import errno
 import io
 import itertools
@@ -537,6 +538,24 @@ def bare_number(change, text):
     return lambda d: json.dumps(change("<number>")(d)).replace('"<number>"', text)
 
 
+def _argparse_quotes_choices():
+    probe = argparse.ArgumentParser(exit_on_error=False)
+    probe.add_argument("x", choices=["a"])
+    try:
+        probe.parse_args(["b"])
+    except argparse.ArgumentError as exc:
+        return "'a'" in str(exc)
+
+
+# argparse quotes each choice of its invalid-choice line in some patch
+# releases (3.11.7, 3.13.0) and writes it bare in others (3.13.13)
+SHOW_CHOICE = repr if _argparse_quotes_choices() else str
+
+
+def invalid_choice(prog, argument, value, *choices):
+    return f"{prog}: error: argument {argument}: invalid choice: {value!r} (choose from {', '.join(map(SHOW_CHOICE, choices))})"
+
+
 # JSON's non-standard constants, and numbers past the float range
 NOT_FINITE = ("NaN", "Infinity", "-Infinity", "1e999", "-1e999")
 # json cannot print an int of more than the interpreter's 4300 digits; theta(K, 1) has about twice K's digits
@@ -548,6 +567,17 @@ LONG_K = "9" * 2200
     [
         pytest.param(["theta", "x", "1"], None, 2, "finsection theta: error: argument k: 'x' is not an integer", id="theta-text"),
         pytest.param(["theta", "0", "1"], None, 2, "finsection theta: error: argument k: value must be >= 1", id="theta-zero"),
+        pytest.param(
+            ["theta", "-1", "1"], None, 2, "finsection theta: error: argument k: value must be >= 1", id="theta-negative"
+        ),
+        # only ASCII digits: int() would also read these as 1, 2, 1000 and 3
+        *[
+            pytest.param(
+                ["theta", text, "1"], None, 2, f"finsection theta: error: argument k: {text!r} is not an integer",
+                id=f"theta-{name}",
+            )
+            for name, text in (("arabic-indic-digit", "\u0661"), ("spaces", " 2 "), ("underscore", "1_000"), ("plus", "+3"))
+        ],
         # an argument past the digit limit is an integer all the same; a long one is quoted cut
         pytest.param(
             ["theta", "9" * 5000, "1"], None, 2,
@@ -558,6 +588,25 @@ LONG_K = "9" * 2200
             id="theta-k-long-text",
         ),
         pytest.param(["theta", "1", "2", "x"], None, 2, "finsection: error: unrecognized arguments: x", id="theta-extra"),
+        # each choice list, in the order the parser offers it
+        pytest.param(
+            ["section", "--kind", "x", "--set", "P", FIX_B], None, 2,
+            invalid_choice("finsection section", "--kind", "x", "predictable", "optional", "measurable", "accessible"),
+            id="unknown-kind",
+        ),
+        pytest.param(
+            ["section", "--kind", "optional", "--set", "O", "--strategy", "x", FIX_B], None, 2,
+            invalid_choice("finsection section", "--strategy", "x", "debut", "souslin"), id="unknown-strategy",
+        ),
+        pytest.param(
+            ["souslin", "x", "--scheme", "A", FIX_B], None, 2,
+            invalid_choice("finsection souslin", "operation", "x", "eval", "union", "intersect", "monotonize"),
+            id="unknown-operation",
+        ),
+        pytest.param(
+            ["--format", "x", "validate", FIX_B], None, 2, invalid_choice("finsection", "--format", "x", "json", "pretty"),
+            id="unknown-format",
+        ),
         pytest.param(["validate"], lambda d: [d], 2, "parse error: document must be a JSON object", id="not-an-object"),
         pytest.param(
             ["validate"], lambda d: {k: v for k, v in d.items() if k != "grid"}, 2, "parse error: document is missing 'grid'",
@@ -883,16 +932,18 @@ def test_merge_reports_are_written_as_json_dumps_writes_them(capsys, fmt):
         assert json.dumps(report) == before  # the report is left as it was
 
 
-# Exit code and exact stdout of acceptance criterion 9's commands and of
-# validate on the bad_* fixtures; argv names documents by file name only.
+# Exit code and exact stdout of acceptance criterion 9's commands, of
+# validate on the bad_* fixtures and of a refused section and a data command
+# on an invalid document, with the stderr of the records that carry it;
+# argv names documents by file name only.
 GOLDEN = json.loads((FIXTURES / "golden_cli.json").read_text())
 
 
 @pytest.mark.parametrize("record", GOLDEN, ids=lambda r: " ".join(r["argv"][2:]))
 def test_reports_match_golden_bytes(capsys, record):
     argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
-    code, out, _ = run_cli(capsys, argv)
-    assert (code, out) == (record["exit"], record["stdout"])
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (record["exit"], record["stdout"], record.get("stderr", err))
 
 
 # Exit code and exact stdout of the debut-wide benchmark's six commands on a

@@ -499,6 +499,19 @@ def test_optional_section_fix_a_exact():
     assert res.deficit == 0
 
 
+@pytest.mark.parametrize("strategy", [STRATEGY_DEBUT, STRATEGY_SOUSLIN])
+@pytest.mark.parametrize("section", [optional_section, accessible_section])
+def test_thin_rests_weighing_exactly_half_eps_are_left_out(section, strategy):
+    """The thin rest {w1, w2} at step 1 (not F_0-measurable) weighs 1/2,
+    exactly eps/2 at eps = 1, so no rest is taken: the section is the debut
+    of the predictable part {w3, w4} at step 2, and its deficit is eps/2."""
+    X = fix_b()
+    O = StochasticSet(frozenset({("w1", 1), ("w2", 1), ("w3", 2), ("w4", 2)}))
+    res = section(O, X, Fraction(1), strategy)
+    assert res.time == RandomTime({"w1": INF, "w2": INF, "w3": 2, "w4": 2})
+    assert res.deficit == Fraction(1, 2)
+
+
 def test_optional_section_contract_random():
     rng = random.Random(909)
     for _ in range(250):
