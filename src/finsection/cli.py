@@ -61,17 +61,20 @@ _OPERATIONS = {
 }
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
         if not (text.isascii() and text.lstrip("-").isdecimal()):  # int() also takes spaces, '_', '+' and other scripts' digits
             raise ValueError
-        value = int(text)
+        return int(text)
     except ValueError:
         limit = sys.get_int_max_str_digits()
         if len(text) > limit and text.isdecimal():
             raise argparse.ArgumentTypeError(f"{text[:20] + '...'!r} has more than {limit} digits")
         raise argparse.ArgumentTypeError(f"{_cut(repr(text))} is not an integer")
-    if value < 1:
+
+
+def _positive_int(text: str) -> int:
+    if (value := _integer(text)) < 1:
         raise argparse.ArgumentTypeError("value must be >= 1")
     return value
 
@@ -79,7 +82,7 @@ def _positive_int(text: str) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     description = "Section-theorem toolkit over finite filtered probability spaces."
     parser = argparse.ArgumentParser(prog="finsection", description=description)
-    parser.add_argument("--seed", type=int, default=None, help="reserved for randomized workflows; no command reads it")
+    parser.add_argument("--seed", type=_integer, default=None, help="reserved for randomized workflows; no command reads it")
     parser.add_argument("--format", choices=("json", "pretty"), default="json", help="report rendering")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -130,8 +131,10 @@ class SampleSpace(_Record):
     """Ordered finite atom list with exact nonnegative weights summing to 1.
 
     Each weight is also kept as an integer numerator over one common
-    denominator, so a probability is an integer sum and one Fraction.
-    ``Fraction`` weights are kept as given; others are converted."""
+    denominator D, so a probability is an integer sum and one Fraction,
+    whose denominator divides D and whose numerator is at most D: a D past
+    the int/str digit limit (``sys.get_int_max_str_digits()``, 0 for none)
+    is refused.  ``Fraction`` weights are kept as given; others converted."""
 
     _fields = ("atoms", "weights")
 
@@ -145,7 +148,11 @@ class SampleSpace(_Record):
         if len(self.weights) != len(self.atoms):
             raise ValueError("exactly one weight per atom required")
         pairs = [(w.numerator, w.denominator) for w in self.weights]
-        denominator = math.lcm(*{q for _, q in pairs})
+        denominator, limit = 1, sys.get_int_max_str_digits()
+        for q in {q for _, q in pairs}:  # 10**limit has over 3 * limit bits; build it only for a D that long
+            denominator = math.lcm(denominator, q)
+            if limit and denominator.bit_length() > 3 * limit and denominator >= 10**limit:
+                raise ValueError(f"the weights' common denominator has more than {limit} digits")
         numerators = [p * (denominator // q) for p, q in pairs]
         if min(numerators) < 0:
             raise ValueError("weights must be nonnegative")

@@ -1,23 +1,25 @@
 """Section solvers over finite filtered spaces.
 
 Each solver picks a part of its set, and ``debut`` alone turns the part
-into the section time, whose graph then sits inside the set.  The debut
-strategy picks the whole set (exact on finite models, used as the
-oracle).  The scheme route reads a predictable set as a monotone Souslin
-scheme, picks each index coordinate as the least branch whose envelope's
-projection weighs at least target - eps, and picks the chosen branch.
-The paper weighs a projection by outer measure, as in general it is only
+into the section time, whose graph then sits inside the set.  The paper
+weighs a projection by outer measure, as in general it is only
 universally measurable; here a projection of an optional or predictable
 set is a finite union of slices, each measurable at the last step, so it
-weighs its probability, and the debut has deficit 0.  On the set's
+weighs its probability.  A predictable section on the debut strategy
+picks the whole set (exact, deficit 0, used as the oracle).  The scheme
+route reads a predictable set as a monotone Souslin scheme, picks each
+index coordinate as the least branch whose envelope's projection weighs
+at least target - eps, and picks the chosen branch.  On the set's
 cumulative scheme (C_c the union of its first c nonempty slices, the
 node at a key C_min(key)) this has a closed form: depth 0 picks the
 least k* whose C_k* clears, and at each later depth the node
 C_min(k*, c) fails for c < k* and is C_k* for c >= k*, so k* is picked
 again.  Optional and accessible sections split the set into its largest
-predictable subset, whose part they pick as above at eps/2, and thin
-(index, atoms) rests, of which they add the fewest leading ones that
-cover all but eps/2 of the rests' projection; one debut takes both.
+predictable subset, whose part they pick as above at eps/2 (all of it
+on the debut strategy), and thin (index, atoms) rests, of which they add
+the fewest leading ones that cover all but eps/2 of the rests'
+projection; one debut takes both.  So on either strategy their deficit
+can be eps/2 > 0: a rest weighing exactly eps/2 is left out.
 ``_leading`` counts leading slices for both.  Each solver checks its
 input once, on entry: epsilon, strategy, then the set's kind.
 """

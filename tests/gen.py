@@ -115,6 +115,17 @@ def optional_sets_of(X: FilteredSpace):
     yield from _sets_from_slices(X, choices)
 
 
+def stopping_times(X: FilteredSpace):
+    """Every stopping time as a dict atom -> grid index or INF, by brute
+    force: each such map whose level set at index k is a union of F_k
+    blocks."""
+    for values in product([*range(X.n_times), INF], repeat=len(X.atoms)):
+        tau = dict(zip(X.atoms, values))
+        levels = [{a for a, v in tau.items() if v == k} for k in range(X.n_times)]
+        if all(b <= level or not b & level for level, F in zip(levels, X.filtration) for b in F.blocks):
+            yield tau
+
+
 # ------------------------------------------------------ random generation
 
 def random_space(rng, max_atoms=16) -> SampleSpace:

@@ -1,6 +1,4 @@
-import argparse
 import errno
-import io
 import itertools
 import json
 import os
@@ -14,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import cli_refusals
+import golden_replay
 from finsection import cli
 from finsection.cli import main
 from finsection.souslin import scheme_from_literal
@@ -435,17 +435,9 @@ def test_souslin_eval_rejects_multiple_schemes(capsys):
     assert code == 4
 
 
-def binary_stdin(data: bytes):
-    """A stdin backed by a byte buffer, with the text layer a POSIX
-    process gets under the C locale: undecodable bytes pass as surrogates,
-    and line ends are not translated."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="\n")
-
-
-def test_reads_from_stdin(capsys, monkeypatch):
-    monkeypatch.setattr(sys, "stdin", binary_stdin(Path(FIX_A).read_bytes()))
-    report = run_json(capsys, ["validate"])
-    assert report["status"] == "ok"
+def test_reads_from_stdin():
+    code, out, _ = golden_replay.call(main, ["validate"], stdin=Path(FIX_A).read_bytes())
+    assert (code, json.loads(out)["status"]) == (0, "ok")
 
 
 def test_closed_stdin_is_a_parse_error(capsys, monkeypatch):
@@ -470,13 +462,11 @@ def test_closed_stdin_is_a_parse_error(capsys, monkeypatch):
         ),
     ],
 )
-def test_stdin_is_decoded_like_a_file(capsys, monkeypatch, tmp_path, raw, line):
+def test_stdin_is_decoded_like_a_file(tmp_path, raw, line):
     path = tmp_path / "doc.json"
     path.write_bytes(raw)
-    from_file = run_cli(capsys, ["validate", str(path)])
-    monkeypatch.setattr(sys, "stdin", binary_stdin(raw))
-    from_stdin = run_cli(capsys, ["validate"])
-    assert from_file == from_stdin == (2, "", line + "\n")
+    from_file = golden_replay.call(main, ["validate", str(path)])
+    assert from_file == golden_replay.call(main, ["validate"], stdin=raw) == (2, "", line + "\n")
 
 
 def test_pretty_format_is_valid_json(capsys):
@@ -510,224 +500,21 @@ def test_reports_are_byte_identical_across_runs(capsys, argv):
     assert first[0] == 0
 
 
+@pytest.mark.parametrize("seed", ["0", "-3", "=-3"])
+def test_seed_takes_any_integer_and_changes_no_byte(capsys, seed):
+    argv = ["--seed" + seed] if seed.startswith("=") else ["--seed", seed]
+    assert run_cli(capsys, [*argv, "validate", FIX_B]) == run_cli(capsys, ["validate", FIX_B])
+
+
 def write_document(tmp_path, doc):
     path = tmp_path / "doc.json"
     path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     return str(path)
 
 
-def fix_b_with(**fields):
-    return lambda d: {**d, **fields}
-
-
-def fix_b_scheme_a_with(**fields):
-    return lambda d: {**d, "schemes": {**d["schemes"], "A": {**d["schemes"]["A"], **fields}}}
-
-
-def fix_b_tau_w1(value):
-    return lambda d: {**d, "times": {**d["times"], "tau": {**d["times"]["tau"], "w1": value}}}
-
-
-def fix_b_first_weight(value):
-    return lambda d: {**d, "space": {**d["space"], "probs": [value] + d["space"]["probs"][1:]}}
-
-
-def bare_number(change, text):
-    """A change that writes ``text`` unquoted where ``change`` puts a marker;
-    it returns the document's JSON text, since json.dumps writes no 1e999."""
-    return lambda d: json.dumps(change("<number>")(d)).replace('"<number>"', text)
-
-
-def _argparse_quotes_choices():
-    probe = argparse.ArgumentParser(exit_on_error=False)
-    probe.add_argument("x", choices=["a"])
-    try:
-        probe.parse_args(["b"])
-    except argparse.ArgumentError as exc:
-        return "'a'" in str(exc)
-
-
-# argparse quotes each choice of its invalid-choice line in some patch
-# releases (3.11.7, 3.13.0) and writes it bare in others (3.13.13)
-SHOW_CHOICE = repr if _argparse_quotes_choices() else str
-
-
-def invalid_choice(prog, argument, value, *choices):
-    return f"{prog}: error: argument {argument}: invalid choice: {value!r} (choose from {', '.join(map(SHOW_CHOICE, choices))})"
-
-
-# JSON's non-standard constants, and numbers past the float range
-NOT_FINITE = ("NaN", "Infinity", "-Infinity", "1e999", "-1e999")
-# json cannot print an int of more than the interpreter's 4300 digits; theta(K, 1) has about twice K's digits
-LONG_K = "9" * 2200
-
-
-@pytest.mark.parametrize(
-    "argv, change, code, line",
-    [
-        pytest.param(["theta", "x", "1"], None, 2, "finsection theta: error: argument k: 'x' is not an integer", id="theta-text"),
-        pytest.param(["theta", "0", "1"], None, 2, "finsection theta: error: argument k: value must be >= 1", id="theta-zero"),
-        pytest.param(
-            ["theta", "-1", "1"], None, 2, "finsection theta: error: argument k: value must be >= 1", id="theta-negative"
-        ),
-        # only ASCII digits: int() would also read these as 1, 2, 1000 and 3
-        *[
-            pytest.param(
-                ["theta", text, "1"], None, 2, f"finsection theta: error: argument k: {text!r} is not an integer",
-                id=f"theta-{name}",
-            )
-            for name, text in (("arabic-indic-digit", "\u0661"), ("spaces", " 2 "), ("underscore", "1_000"), ("plus", "+3"))
-        ],
-        # an argument past the digit limit is an integer all the same; a long one is quoted cut
-        pytest.param(
-            ["theta", "9" * 5000, "1"], None, 2,
-            "finsection theta: error: argument k: '99999999999999999999...' has more than 4300 digits", id="theta-k-past-digit-limit",
-        ),
-        pytest.param(
-            ["theta", "x" * 36, "1"], None, 2, "finsection theta: error: argument k: 'xxxxxxxxxxxxxxxxxxx... is not an integer",
-            id="theta-k-long-text",
-        ),
-        pytest.param(["theta", "1", "2", "x"], None, 2, "finsection: error: unrecognized arguments: x", id="theta-extra"),
-        # each choice list, in the order the parser offers it
-        pytest.param(
-            ["section", "--kind", "x", "--set", "P", FIX_B], None, 2,
-            invalid_choice("finsection section", "--kind", "x", "predictable", "optional", "measurable", "accessible"),
-            id="unknown-kind",
-        ),
-        pytest.param(
-            ["section", "--kind", "optional", "--set", "O", "--strategy", "x", FIX_B], None, 2,
-            invalid_choice("finsection section", "--strategy", "x", "debut", "souslin"), id="unknown-strategy",
-        ),
-        pytest.param(
-            ["souslin", "x", "--scheme", "A", FIX_B], None, 2,
-            invalid_choice("finsection souslin", "operation", "x", "eval", "union", "intersect", "monotonize"),
-            id="unknown-operation",
-        ),
-        pytest.param(
-            ["--format", "x", "validate", FIX_B], None, 2, invalid_choice("finsection", "--format", "x", "json", "pretty"),
-            id="unknown-format",
-        ),
-        pytest.param(["validate"], lambda d: [d], 2, "parse error: document must be a JSON object", id="not-an-object"),
-        pytest.param(
-            ["validate"], lambda d: {k: v for k, v in d.items() if k != "grid"}, 2, "parse error: document is missing 'grid'",
-            id="no-grid",
-        ),
-        pytest.param(["validate"], fix_b_with(grid="0"), 2, "parse error: document.grid has the wrong type", id="grid-text"),
-        pytest.param(["validate"], fix_b_with(sets=[]), 2, "parse error: document.sets must be an object", id="sets-array"),
-        pytest.param(
-            ["validate"], fix_b_with(sets={"P": "x"}), 2, "parse error: sets.P must be an array of [atom, index] pairs",
-            id="set-text",
-        ),
-        pytest.param(
-            ["validate"], lambda d: {**d, "space": {**d["space"], "atoms": [1, 2, 3, 4]}}, 2,
-            "parse error: space.atoms must be strings", id="atoms-ints",
-        ),
-        pytest.param(
-            ["validate"], lambda d: {**d, "filtration": [[[1, 2]]] + d["filtration"][1:]}, 2,
-            "parse error: filtration[0] must be an array of atom arrays", id="filtration-atom-ints",
-        ),
-        pytest.param(["validate"], fix_b_with(times={"tau": 3}), 2, "parse error: times.tau must be an object", id="time-int"),
-        pytest.param(["validate"], fix_b_with(extra=1), 2, "parse error: unknown document field 'extra'", id="unknown-field"),
-        *[
-            pytest.param(["validate"], bare_number(change, text), 2, f"parse error: JSON number {text} is not finite", id=f"{where}-{text}")
-            for text in NOT_FINITE
-            for where, change in (("time", fix_b_tau_w1), ("weight", fix_b_first_weight))
-        ],
-        pytest.param(
-            ["validate"], bare_number(fix_b_tau_w1, "1" + "0" * 400 + ".5"), 2,
-            "parse error: JSON number 10000000000000000000... is not finite", id="time-long-number",
-        ),
-        # a finite float is a number JSON can hold, so RandomTime refuses it
-        pytest.param(
-            ["section", "--kind", "predictable", "--set", "P"], fix_b_tau_w1(3.0), 3,
-            "invariant violation: times.tau: bad time value 3.0 for atom 'w1'", id="time-float",
-        ),
-        pytest.param(
-            ["section", "--kind", "predictable", "--set", "P"], fix_b_tau_w1("x" * 100_000), 3,
-            "invariant violation: times.tau: bad time value 'xxxxxxxxxxxxxxxxxxx... for atom 'w1'", id="time-long-text",
-        ),
-        pytest.param(
-            ["section", "--kind", "predictable", "--set", "P"], fix_b_tau_w1(list(range(10_000))), 3,
-            "invariant violation: times.tau: bad time value [0, 1, 2, 3, 4, 5, 6... for atom 'w1'", id="time-long-array",
-        ),
-        pytest.param(
-            ["validate"], lambda d: "\ufeff" + json.dumps(d), 2,
-            "parse error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)", id="bom",
-        ),
-        # a non-rational text is quoted up to 20 characters, however long it is
-        pytest.param(
-            ["section", "--kind", "predictable", "--set", "P"], fix_b_first_weight("x" * 100_000), 3,
-            "invariant violation: space: not a rational literal: 'xxxxxxxxxxxxxxxxxxx...", id="weight-long-text",
-        ),
-        # so is a zero-denominator literal, whose two sides each stay inside the digit limit
-        pytest.param(
-            ["section", "--kind", "predictable", "--set", "P"], fix_b_first_weight("9" * 4300 + "/" + "0" * 4300), 3,
-            "invariant violation: space: zero denominator in rational literal: '9999999999999999999...",
-            id="weight-long-zero-denominator",
-        ),
-        pytest.param(
-            ["section", "--kind", "predictable", "--set", "P", "--epsilon", "x" * 100_000], lambda d: d, 4,
-            "precondition failure: not a rational literal: 'xxxxxxxxxxxxxxxxxxx...", id="epsilon-long-text",
-        ),
-        pytest.param(
-            ["theta", LONG_K, "1"], None, 4, "precondition failure: theta value has more than 4300 digits", id="theta-too-long"
-        ),
-        pytest.param(
-            ["--format", "pretty", "theta", LONG_K, "1"], None, 4,
-            "precondition failure: theta value has more than 4300 digits", id="theta-too-long-pretty",
-        ),
-        pytest.param(
-            ["section", "--kind", "predictable", "--set", "P"], fix_b_with(times={"tau": {"w1": 1, "w2": 1, "w3": "inf"}}), 3,
-            "invariant violation: times.tau: time literal must assign every atom exactly once", id="time-short-an-atom",
-        ),
-        pytest.param(
-            ["souslin", "eval", "--scheme", "A"], fix_b_scheme_a_with(ground_set=[], paving=[[]], nodes={}), 3,
-            "invariant violation: schemes.A: ground set must be nonempty", id="scheme-empty-ground",
-        ),
-        pytest.param(
-            ["souslin", "eval", "--scheme", "A"], fix_b_scheme_a_with(paving=[], nodes={}), 3,
-            "invariant violation: schemes.A: paving needs at least one member", id="scheme-empty-paving",
-        ),
-        pytest.param(
-            ["souslin", "eval", "--scheme", "A"], fix_b_scheme_a_with(depth=0), 3,
-            "invariant violation: schemes.A: depth and branching bounds must be positive", id="scheme-depth-0",
-        ),
-        pytest.param(
-            ["souslin", "monotonize", "--scheme", "A", "--scheme", "B"], lambda d: d, 4,
-            "precondition failure: souslin monotonize takes exactly one scheme", id="monotonize-two",
-        ),
-        pytest.param(
-            ["souslin", "eval", "--scheme", "A", "--scheme", "B"], lambda d: d, 4,
-            "precondition failure: souslin eval takes exactly one scheme", id="eval-two",
-        ),
-        pytest.param(
-            ["validate", FIX_B, FIX_B], None, 2, f"finsection: error: unrecognized arguments: {FIX_B} {FIX_B}",
-            id="data-second-path",
-        ),
-        pytest.param(
-            ["section", "--kind", "predictable", "--set", "P", FIX_B, "-x"], None, 2,
-            f"finsection: error: unrecognized arguments: {FIX_B} -x", id="data-trailing-option",
-        ),
-        pytest.param(
-            ["souslin", "eval", "--scheme", "A", "-x"], None, 2, "finsection: error: unrecognized arguments: -x",
-            id="data-lone-option",
-        ),
-    ],
-)
-def test_each_refusal_exits_with_its_code_and_names_itself(capsys, tmp_path, argv, change, code, line):
-    if change is not None:
-        argv = argv + [write_document(tmp_path, change(json.loads(Path(FIX_B).read_text())))]
-    try:
-        got, by_argparse = main(argv), False
-    except SystemExit as exc:
-        got, by_argparse = exc.code, True
-    lines = capsys.readouterr().err.splitlines()
-    assert got == code
-    if by_argparse:
-        # argparse writes its usage first; its width follows the terminal
-        assert lines[0].startswith("usage: finsection") and lines[-1] == line
-    else:
-        assert lines == [line]
+@pytest.mark.parametrize("row", cli_refusals.ROWS, ids=lambda row: row[0])
+def test_each_refusal_exits_with_its_code_and_names_itself(tmp_path, row):
+    assert golden_replay.check_refusal(main, row, tmp_path) == []
 
 
 def test_zero_denominator_weight_is_a_violation(capsys, tmp_path):
@@ -763,6 +550,48 @@ def test_over_long_weight_is_a_violation_quoting_a_truncated_literal(capsys, tmp
 def test_over_long_epsilon_is_a_precondition_failure_quoting_a_truncated_literal(capsys):
     argv = ["section", "--kind", "predictable", "--set", "P", "--epsilon", LONG_LITERAL, FIX_B]
     assert run_cli(capsys, argv) == (4, "", f"precondition failure: {TOO_LONG}\n")
+
+
+def seven_digit_primes(count):
+    sieve = bytearray([1]) * 40_000  # 10**6 + i: about 2,900 primes
+    for p in range(2, 1021):
+        sieve[-10**6 % p :: p] = bytes(len(sieve[-10**6 % p :: p]))
+    return [10**6 + i for i, prime in enumerate(sieve) if prime][:count]
+
+
+def paired_weights_document(denominators):
+    """Atoms h_j and l_j weighing d_j // 2 + 1 and the rest over n * d_j, for n
+    denominators d_j; h_j split off at step 0 and sit in P at index 1, l_j at
+    step 1 and index 2."""
+    n = len(denominators)
+    heavy, light = [f"h{j}" for j in range(n)], [f"l{j}" for j in range(n)]
+    probs = [f"{d // 2 + 1}/{n * d}" for d in denominators] + [f"{d - d // 2 - 1}/{n * d}" for d in denominators]
+    return {
+        "space": {"atoms": heavy + light, "probs": probs},
+        "grid": ["0", "1", "2"],
+        "filtration": [[[a] for a in heavy] + [light]] + [[[a] for a in heavy + light]] * 2,
+        "sets": {"P": [[a, 1] for a in heavy] + [[a, 2] for a in light]},
+    }
+
+
+DIGITS_REFUSED = "space: the weights' common denominator has more than 4300 digits"
+
+
+def test_weights_whose_common_denominator_passes_the_digit_limit_are_refused_on_load(capsys, tmp_path):
+    # 2048 distinct 7-digit primes x 2^11: a common denominator of about 14,300 digits,
+    # and a deficit at eps 3/4 that json could not print
+    path = write_document(tmp_path, paired_weights_document([p * 2**11 for p in seven_digit_primes(2048)]))
+    assert run_cli(capsys, ["validate", path]) == (3, f'{{"status":"invalid","violations":["{DIGITS_REFUSED}"]}}\n', "")
+    argv = ["section", "--kind", "predictable", "--set", "P", "--epsilon", "3/4", path]
+    assert run_cli(capsys, argv) == (3, "", f"invariant violation: {DIGITS_REFUSED}\n")
+
+
+def test_validate_refuses_4000_digit_denominators_at_once(capsys, tmp_path):
+    path = write_document(tmp_path, paired_weights_document([10**3999 + j for j in range(64)]))
+    t0 = time.perf_counter()
+    code, out, _ = run_cli(capsys, ["validate", path])
+    assert (code, json.loads(out)["violations"]) == (3, [DIGITS_REFUSED])
+    assert time.perf_counter() - t0 < 0.5
 
 
 @pytest.mark.parametrize("literal", ["1/4\n", "\u0661/4"], ids=["trailing-newline", "arabic-indic-digit"])
@@ -863,14 +692,9 @@ def test_malformed_scheme_literal_is_a_violation(capsys, tmp_path, mutate, messa
 # document built like the scheme-algebra benchmark's (bench/workloads.py's
 # lattice paving and scheme literals, seed string "scheme-algebra:fixture"),
 # recorded before the merges and monotonize read lookup tables.
-GOLDEN_SOUSLIN = json.loads((FIXTURES / "golden_souslin.json").read_text())
-
-
-@pytest.mark.parametrize("record", GOLDEN_SOUSLIN, ids=lambda r: " ".join(r["argv"][1:-1]))
-def test_souslin_reports_match_golden_bytes(capsys, record):
-    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
-    code, out, _ = run_cli(capsys, argv)
-    assert (code, out) == (record["exit"], record["stdout"])
+@pytest.mark.parametrize("record", golden_replay.records("golden_souslin.json"), ids=lambda r: " ".join(r["argv"][1:-1]))
+def test_souslin_reports_match_golden_bytes(record):
+    assert golden_replay.check_record(main, record) == []
 
 
 # Ground elements that JSON escapes, or that spell the text the report
@@ -936,34 +760,25 @@ def test_merge_reports_are_written_as_json_dumps_writes_them(capsys, fmt):
 # validate on the bad_* fixtures and of a refused section and a data command
 # on an invalid document, with the stderr of the records that carry it;
 # argv names documents by file name only.
-GOLDEN = json.loads((FIXTURES / "golden_cli.json").read_text())
-
-
-@pytest.mark.parametrize("record", GOLDEN, ids=lambda r: " ".join(r["argv"][2:]))
-def test_reports_match_golden_bytes(capsys, record):
-    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
-    code, out, err = run_cli(capsys, argv)
-    assert (code, out, err) == (record["exit"], record["stdout"], record.get("stderr", err))
+@pytest.mark.parametrize("record", golden_replay.records("golden_cli.json"), ids=lambda r: " ".join(r["argv"][2:]))
+def test_reports_match_golden_bytes(record):
+    assert golden_replay.check_record(main, record) == []
 
 
 # Exit code and exact stdout of the debut-wide benchmark's six commands on a
 # generated 64-atom, 16-step document (bench/workloads.py's debut document),
 # recorded before sets were stored by slice; this holds the block order of
 # the classify-time cover and the key order of time literals.
-GOLDEN_DEBUT = json.loads((FIXTURES / "golden_debut.json").read_text())
+@pytest.mark.parametrize("record", golden_replay.records("golden_debut.json"), ids=lambda r: " ".join(r["argv"][:5]))
+def test_debut_scale_reports_match_golden_bytes(record):
+    assert golden_replay.check_record(main, record) == []
 
 
-@pytest.mark.parametrize("record", GOLDEN_DEBUT, ids=lambda r: " ".join(r["argv"][:5]))
-def test_debut_scale_reports_match_golden_bytes(capsys, record):
-    argv = [str(FIXTURES / a) if a.endswith(".json") else a for a in record["argv"]]
-    code, out, _ = run_cli(capsys, argv)
-    assert (code, out) == (record["exit"], record["stdout"])
-
-
-def test_golden_fixtures_give_the_same_bytes_across_processes():
-    """The three golden files replayed by ``golden_replay.py`` in child
-    processes: under this interpreter with hash seeds 0 and 1, and once
-    under each other supported interpreter on PATH that starts."""
+def test_every_pinned_outcome_replays_across_processes():
+    """``golden_replay.py`` as a script, which checks the golden records,
+    the refusal rows and the benchmark digests, in child processes: under
+    this interpreter with hash seeds 0 and 1, and once under each other
+    supported interpreter on PATH that starts."""
     runs = {f"{sys.executable} PYTHONHASHSEED={seed}": (sys.executable, seed) for seed in ("0", "1")}
     for version in ("3.10", "3.12", "3.13"):
         exe = shutil.which(f"python{version}")
@@ -971,7 +786,7 @@ def test_golden_fixtures_give_the_same_bytes_across_processes():
             runs[f"python{version}"] = (exe, "0")
     children = {
         label: subprocess.Popen(
-            [exe, str(Path(__file__).parent / "golden_replay.py")],
+            [exe, golden_replay.__file__],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -980,8 +795,7 @@ def test_golden_fixtures_give_the_same_bytes_across_processes():
         for label, (exe, seed) in runs.items()
     }
     print("replayed under:", ", ".join(children))
-    total = len(GOLDEN) + len(GOLDEN_SOUSLIN) + len(GOLDEN_DEBUT)
     for label, child in children.items():
         out, err = child.communicate(timeout=60)
         assert child.returncode == 0, f"{label}: {out}{err}"
-        assert out.startswith(f"{total} of {total} records match"), f"{label}: {out}"
+        assert out.startswith(f"{golden_replay.summary()}: all match"), f"{label}: {out}"

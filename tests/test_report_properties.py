@@ -12,27 +12,20 @@ exception is ``result_scheme.paving``, which echoes the input's member
 order, so it is compared as a set.
 
 The inputs are ``tests/fixtures/fix_b.json`` and the seed-1 documents of
-``bench/workloads.py``, imported read-only as ``test_bench_outputs`` does.
+``bench/workloads.py``, imported read-only through ``golden_replay``.
 """
 
-import contextlib
-import io
 import json
 import random
-import sys
 from itertools import count, islice
 from pathlib import Path
 
 import pytest
 
 from finsection.cli import main
+from golden_replay import FIXTURES, call, workloads
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "bench"))
-
-import workloads  # noqa: E402
-
-FIX_B = ROOT / "tests" / "fixtures" / "fix_b.json"
+FIX_B = FIXTURES / "fix_b.json"
 SEED = 1
 
 FIX_B_ARGVS = [
@@ -66,10 +59,7 @@ def write(doc: dict, tmp_path: Path) -> Path:
 
 def run(argv, path: Path) -> tuple:
     """(exit code, stdout, stderr) of one in-process CLI call on ``path``."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, str(path)])
-    return code, out.getvalue(), err.getvalue()
+    return call(main, [*argv, str(path)])
 
 
 def fix_b_cases():

@@ -2,16 +2,14 @@
 eval` on a literal whose fields are mutated exits 0, 2, 3 or 4 and never
 raises.  Bounds stay small, so every run finishes at once."""
 
-import contextlib
-import io
 import json
 from itertools import product
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finsection.cli import main
+from golden_replay import call
 
 GROUND = ("a", "b", "c", "d")
 
@@ -68,11 +66,7 @@ def eval_document(literal):
         "filtration": [[["w1"]]],
         "schemes": {"S": literal},
     }
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", io.TextIOWrapper(io.BytesIO(json.dumps(doc).encode()), encoding="utf-8")):
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["souslin", "eval", "--scheme", "S"])
-    return code, out.getvalue(), err.getvalue()
+    return call(main, ["souslin", "eval", "--scheme", "S"], stdin=json.dumps(doc).encode())
 
 
 @settings(max_examples=150, deadline=None)

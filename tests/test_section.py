@@ -526,6 +526,37 @@ def test_optional_section_contract_random():
             assert res.trace.oracle_deficit == 0
 
 
+def small_spaces_and_null_atom_variants():
+    """``gen.exhaustive_spaces(3, 4)``, and each space of two or more atoms
+    again with its first atom weighing 0."""
+    for X in gen.exhaustive_spaces(3, 4):
+        yield X
+        n = len(X.atoms)
+        if n > 1:
+            yield FilteredSpace(SampleSpace(X.atoms, (Fraction(0),) + (Fraction(1, n - 1),) * (n - 1)), X.grid, X.filtration)
+
+
+def test_an_optional_set_is_evanescent_exactly_when_no_section_and_no_stopping_time_sees_it():
+    """The section theorem's standard use: two optional sets A and B are
+    indistinguishable when no stopping time meets A Δ B with positive
+    probability.  A Δ B is optional, and every optional set C is C Δ ∅, so
+    for each C these agree: some brute-force stopping time meets C with
+    positive probability; the exact optional section of C has finite mass
+    above 0; P(π(C)) > 0.  On a null atom a nonempty C goes unseen."""
+    seen = set()
+    for X in small_spaces_and_null_atom_variants():
+        weight = dict(zip(X.atoms, X.space.weights))
+        taus = list(gen.stopping_times(X))
+        for C in gen.optional_sets_of(X):
+            cells = C.cells
+            met = any(weight[a] > 0 and (a, k) in cells for tau in taus for a, k in tau.items())
+            mass = X.space.prob(optional_section(C, X, 0).time.finite_support())
+            projected = sum(weight[a] for a in gen.oracle_projection(cells))
+            assert met == (mass > 0) == (projected > 0), (X, C)
+            seen.add((met, bool(cells)))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
 def test_optional_section_preconditions():
     X = fix_a()
     with pytest.raises(ValueError):
