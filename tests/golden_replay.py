@@ -12,14 +12,17 @@ Three sets of outcomes are pinned:
   document, stored in ``tests/fixtures/bench_digests.json``.
 
 :func:`call` is the one in-process CLI call that the tests capture.  Run
-as a script, this file checks all three sets, prints one line per outcome
-that differs, then a summary line, and exits 1 if any differs.  It needs
-only this checkout's ``src`` and the standard library, so it runs under
-any interpreter the package supports, whatever its hash seed (which
-orders every frozenset of atom names):
+as a script, this file checks the sets named on its command line
+(``golden``, ``refusals``, ``digests``; all three when none is named),
+prints one line per outcome that differs, then a summary line, and exits
+1 if any differs.  It needs only this checkout's ``src`` and the standard
+library, so it runs under any interpreter the package supports, whatever
+its hash seed (which orders every frozenset of atom names):
 
     PYTHONHASHSEED=1 python3 tests/golden_replay.py
-    python3.13 tests/golden_replay.py
+    python3.13 tests/golden_replay.py digests
+
+:func:`replay_across_processes` runs the script so in child processes.
 
 ``--write-digests`` rewrites the stored digests from the current code
 instead; do that only for a change meant to alter the benchmark's output,
@@ -30,6 +33,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -41,6 +47,7 @@ FIXTURES = ROOT / "tests" / "fixtures"
 GOLDEN = ("golden_cli.json", "golden_souslin.json", "golden_debut.json")
 DIGESTS = FIXTURES / "bench_digests.json"
 SEED = 1
+SETS = ("golden", "refusals", "digests")
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
@@ -121,11 +128,54 @@ def check_digests(main, name: str, doc_dir: Path) -> list:
     return lines
 
 
-def summary() -> str:
-    """The pinned outcomes the script checks, counted."""
-    count = sum(len(records(name)) for name in GOLDEN)
-    digests = sum(map(len, json.loads(DIGESTS.read_text(encoding="utf-8")).values()))
-    return f"{count} golden records, {len(cli_refusals.ROWS)} refusal rows and {digests} benchmark digests"
+def check_sets(main, sets, doc_dir: Path) -> list:
+    """One line per outcome of the named sets that differs."""
+    checks = {
+        "golden": lambda: (line for name in GOLDEN for record in records(name) for line in check_record(main, record)),
+        "refusals": lambda: (line for row in cli_refusals.ROWS for line in check_refusal(main, row, doc_dir)),
+        "digests": lambda: (line for name in sorted(workloads.WORKLOADS) for line in check_digests(main, name, doc_dir)),
+    }
+    return [line for name in sets for line in checks[name]()]
+
+
+def summary(sets=SETS) -> str:
+    """The pinned outcomes of the named sets, counted."""
+    counts = {
+        "golden": f"{sum(len(records(name)) for name in GOLDEN)} golden records",
+        "refusals": f"{len(cli_refusals.ROWS)} refusal rows",
+        "digests": f"{sum(map(len, json.loads(DIGESTS.read_text(encoding='utf-8')).values()))} benchmark digests",
+    }
+    parts = [counts[name] for name in sets]
+    return " and ".join([", ".join(parts[:-1]), parts[-1]] if len(parts) > 1 else parts)
+
+
+def replay_across_processes(*sets) -> list:
+    """Run the script on ``sets`` in child processes: under this
+    interpreter with hash seeds 0 and 1, and once under each other
+    supported interpreter on PATH that starts.  Prints which ran; returns
+    one line per child that did not exit 0 with its summary."""
+    runs = {f"{sys.executable} PYTHONHASHSEED={seed}": (sys.executable, seed) for seed in ("0", "1")}
+    for version in ("3.10", "3.12", "3.13"):
+        exe = shutil.which(f"python{version}")
+        if exe and subprocess.run([exe, "-c", "pass"], capture_output=True).returncode == 0:
+            runs[f"python{version}"] = (exe, "0")
+    children = {
+        label: subprocess.Popen(
+            [exe, __file__, *sets],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1"),
+        )
+        for label, (exe, seed) in runs.items()
+    }
+    print("replayed", " ".join(sets), "under:", ", ".join(children))
+    failures = []
+    for label, child in children.items():
+        out, err = child.communicate(timeout=120)
+        if child.returncode != 0 or not out.startswith(f"{summary(sets)}: all match"):
+            failures.append(f"{label}: exit {child.returncode}: {out}{err}")
+    return failures
 
 
 if __name__ == "__main__":
@@ -138,13 +188,13 @@ if __name__ == "__main__":
             digests = {name: op_digests(main, name, doc_dir) for name in sorted(workloads.WORKLOADS)}
             DIGESTS.write_text(json.dumps(digests, indent=1) + "\n", encoding="utf-8")
             sys.exit(0)
-        differing = [
-            *(line for name in GOLDEN for record in records(name) for line in check_record(main, record)),
-            *(line for row in cli_refusals.ROWS for line in check_refusal(main, row, doc_dir)),
-            *(line for name in sorted(workloads.WORKLOADS) for line in check_digests(main, name, doc_dir)),
-        ]
+        sets = tuple(sys.argv[1:]) or SETS
+        if not set(sets) <= set(SETS):
+            print(f"usage: golden_replay.py [--write-digests | {' '.join(f'[{name}]' for name in SETS)}]", file=sys.stderr)
+            sys.exit(2)
+        differing = check_sets(main, sets, doc_dir)
     for line in differing:
         print(line)
     verdict = f"{len(differing)} differ" if differing else "all match"
-    print(f"{summary()}: {verdict} under Python {sys.version.split()[0]}")
+    print(f"{summary(sets)}: {verdict} under Python {sys.version.split()[0]}")
     sys.exit(1 if differing else 0)

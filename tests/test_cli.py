@@ -3,7 +3,6 @@ import itertools
 import json
 import os
 import random
-import shutil
 import subprocess
 import sys
 import time
@@ -774,28 +773,9 @@ def test_debut_scale_reports_match_golden_bytes(record):
     assert golden_replay.check_record(main, record) == []
 
 
-def test_every_pinned_outcome_replays_across_processes():
-    """``golden_replay.py`` as a script, which checks the golden records,
-    the refusal rows and the benchmark digests, in child processes: under
-    this interpreter with hash seeds 0 and 1, and once under each other
+def test_golden_fixtures_give_the_same_bytes_across_processes():
+    """The golden records and the refusal rows replayed by
+    ``golden_replay.py`` as a script in child processes: under this
+    interpreter with hash seeds 0 and 1, and once under each other
     supported interpreter on PATH that starts."""
-    runs = {f"{sys.executable} PYTHONHASHSEED={seed}": (sys.executable, seed) for seed in ("0", "1")}
-    for version in ("3.10", "3.12", "3.13"):
-        exe = shutil.which(f"python{version}")
-        if exe and subprocess.run([exe, "-c", "pass"], capture_output=True).returncode == 0:
-            runs[f"python{version}"] = (exe, "0")
-    children = {
-        label: subprocess.Popen(
-            [exe, golden_replay.__file__],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONDONTWRITEBYTECODE="1"),
-        )
-        for label, (exe, seed) in runs.items()
-    }
-    print("replayed under:", ", ".join(children))
-    for label, child in children.items():
-        out, err = child.communicate(timeout=60)
-        assert child.returncode == 0, f"{label}: {out}{err}"
-        assert out.startswith(f"{golden_replay.summary()}: all match"), f"{label}: {out}"
+    assert golden_replay.replay_across_processes("golden", "refusals") == []
