@@ -8,6 +8,13 @@ invariant violation in it; report 4, a solver precondition failure; write
 2 (a full disk, a closed pipe or a closed stdout).  Otherwise it exits 0,
 or 3 for ``validate`` on a document with violations, which it reports.
 
+A call imports the Souslin layer (``souslin.py``) only when it needs it:
+``theta`` and ``souslin`` import it as they run, and a document whose
+``schemes`` object has an entry imports it to read the schemes.  So
+``validate``, ``section`` and ``classify-time`` on a document without
+schemes never compile ``souslin.py``, about a quarter of the package's
+compile time when no bytecode is cached.
+
 A call pauses the cyclic garbage collector and restores the state it found
 on every exit: a JSON document holds no cycle, yet the collector re-scans
 the half-built document every few hundred allocations.  In a fresh process,
@@ -38,7 +45,6 @@ from .filtered import INF, classify_time
 from .measure import _cut, format_rational, parse_rational
 from .section import STRATEGY_DEBUT, STRATEGY_SOUSLIN, _check_epsilon, accessible_section, measurable_section
 from .section import optional_section, predictable_section
-from .souslin import check_monotone, eval_scheme, merge_intersection, merge_union, monotonize, scheme_to_literal, theta
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -53,11 +59,11 @@ _KINDS = {  # measurable_section takes no epsilon and no strategy
     "accessible": accessible_section,
 }
 _STRATEGIES = {"debut": STRATEGY_DEBUT, "souslin": STRATEGY_SOUSLIN}
-_OPERATIONS = {
-    "eval": lambda schemes: schemes[0],
-    "union": merge_union,
-    "intersect": merge_intersection,
-    "monotonize": lambda schemes: monotonize(schemes[0]),
+_OPERATIONS = {  # each takes the Souslin layer, which _souslin_report loads, and the named schemes
+    "eval": lambda souslin, schemes: schemes[0],
+    "union": lambda souslin, schemes: souslin.merge_union(schemes),
+    "intersect": lambda souslin, schemes: souslin.merge_intersection(schemes),
+    "monotonize": lambda souslin, schemes: souslin.monotonize(schemes[0]),
 }
 
 
@@ -193,6 +199,8 @@ def _lookup(table: dict, name: str, kind: str):
 
 
 def _theta_report(args, doc) -> int:
+    from .souslin import theta
+
     value, limit = theta(args.k, args.m), sys.get_int_max_str_digits()
     if limit and value >= 10**limit:  # json cannot print an int past the interpreter's digit limit
         raise ValueError(f"theta value has more than {limit} digits")
@@ -248,16 +256,18 @@ def _souslin_report(args, doc) -> dict:
     op = args.operation
     if op in ("eval", "monotonize") and len(schemes) != 1:
         raise ValueError(f"souslin {op} takes exactly one scheme")
-    result = _OPERATIONS[op](schemes)
-    evaluated = eval_scheme(result)
+    from . import souslin
+
+    result = _OPERATIONS[op](souslin, schemes)
+    evaluated = souslin.eval_scheme(result)
     report = {
         "operation": op,
         "schemes": list(args.scheme_names),
         "eval": [e for e in result.paving.ground if e in evaluated],
-        "monotone": list(check_monotone(result)),
+        "monotone": list(souslin.check_monotone(result)),
     }
     if op != "eval":
-        report["result_scheme"] = scheme_to_literal(result)
+        report["result_scheme"] = souslin.scheme_to_literal(result)
     return report
 
 

@@ -25,6 +25,9 @@ column, or over its distinct types, accepts it, and each distinct weight
 text is parsed once; a per-item loop names the first bad item.  Time
 values are checked once, by ``RandomTime``; a JSON number that does not
 read as a finite float (``NaN``, ``Infinity``, ``1e999``) is a parse error.
+
+The Souslin layer is imported only to read a ``schemes`` object that has
+an entry, so loading a document without schemes never compiles it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from operator import itemgetter
 
 from .filtered import INF, FilteredSpace, RandomTime, StochasticSet, TimeGrid, _filtration_faults
 from .measure import SampleSpace, SigmaAlgebra, _cut, _Record, parse_rational
-from .souslin import SouslinScheme, scheme_from_literal
 
 __all__ = [
     "DocumentParseError",
@@ -257,8 +259,11 @@ def build_document(obj: dict):
         else:
             times[name] = tau
 
-    schemes: dict[str, SouslinScheme] = {}
-    for name, literal in _optional(obj, "schemes", "document").items():
+    schemes: dict = {}  # name -> SouslinScheme
+    scheme_literals = _optional(obj, "schemes", "document")
+    if scheme_literals:  # the Souslin layer loads only for a document that holds a scheme
+        from .souslin import scheme_from_literal
+    for name, literal in scheme_literals.items():
         try:
             schemes[name] = scheme_from_literal(literal)
         except ValueError as exc:

@@ -21,7 +21,9 @@ the fewest leading ones that cover all but eps/2 of the rests'
 projection; one debut takes both.  So on either strategy their deficit
 can be eps/2 > 0: a rest weighing exactly eps/2 is left out.
 ``_leading`` counts leading slices for both.  Each solver checks its
-input once, on entry: epsilon, strategy, then the set's kind.
+input once, on entry: epsilon, strategy, then the set's kind.  No solver
+builds a scheme, so only ``build_monotone_scheme`` and
+``section_from_scheme`` import the Souslin layer, when they run.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from operator import or_
 
 from .filtered import FilteredSpace, StochasticSet, debut, is_set_of_kind
 from .measure import _blocks_meeting, _Record, discrete_sigma
-from .souslin import Paving, SouslinScheme, _check_budget, check_monotone, empty_scheme
 
 __all__ = [
     "STRATEGY_DEBUT",
@@ -142,8 +143,9 @@ def _cell_ground(X: FilteredSpace) -> tuple:
     return tuple((atom, k) for k in range(X.n_times) for atom in X.atoms)
 
 
-def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinScheme:
-    """Monotone scheme over interval-realized values that produces the set.
+def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace):
+    """Monotone ``SouslinScheme`` over interval-realized values that
+    produces the set.
 
     With r nonempty slices the scheme has depth and branching r, and the
     node at an index tuple is the cumulative union of the first
@@ -151,6 +153,8 @@ def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinSche
     stays an interval-realizable predictable set.  All Σ r^l nodes are
     stored, so r is refused up front past the scheme ops' entry budget.
     """
+    from .souslin import Paving, SouslinScheme, _check_budget, empty_scheme
+
     if not is_set_of_kind(P_set, X, "predictable"):
         raise ValueError("interval representation needs a predictable set")
     r = len(P_set.slices)
@@ -165,7 +169,7 @@ def build_monotone_scheme(P_set: StochasticSet, X: FilteredSpace) -> SouslinSche
     return SouslinScheme(paving, r, r, nodes)
 
 
-def _souslin_sweep(scheme: SouslinScheme, X: FilteredSpace, eps: Fraction) -> tuple:
+def _souslin_sweep(scheme, X: FilteredSpace, eps: Fraction) -> tuple:
     """Least-branch envelope selection: the full node's projection weight
     (the target), the chosen branch's set and the trace.
 
@@ -194,10 +198,13 @@ def _souslin_sweep(scheme: SouslinScheme, X: FilteredSpace, eps: Fraction) -> tu
     return target, chosen, SectionTrace(tuple(prefix), tuple(measures), Fraction(0))
 
 
-def section_from_scheme(scheme: SouslinScheme, X: FilteredSpace, eps) -> SectionResult:
-    """Run the scheme route on a caller-supplied monotone scheme whose node
-    values are predictable sets over the cells of the space, listed in its
-    ground in the order of the space's cell ground (``_cell_ground``)."""
+def section_from_scheme(scheme, X: FilteredSpace, eps) -> SectionResult:
+    """Run the scheme route on a caller-supplied monotone ``SouslinScheme``
+    whose node values are predictable sets over the cells of the space,
+    listed in its ground in the order of the space's cell ground
+    (``_cell_ground``)."""
+    from .souslin import check_monotone
+
     eps = _check_epsilon(eps)
     paving = scheme.paving
     if paving.ground != _cell_ground(X):

@@ -1,14 +1,16 @@
 """Fuzz the CLI's exit-code contract on whole documents: tests/fixtures/
 fix_b.json with one or two nodes of its JSON tree replaced or dropped, run
 under one of the CLI's commands with one argument possibly changed.  Every
-run returns 0, 2, 3 or 4, or exits through argparse with 2, and none raises."""
+run returns 0, 2, 3 or 4, or exits through argparse with 2, and none raises.
+An argv that asks for help gets what the CLI documents: exit 0, with the
+usage on stdout."""
 
 import copy
 import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from finsection.cli import main
@@ -74,10 +76,23 @@ def run(argv, doc):
     return call(main, argv, stdin=json.dumps(doc).encode())
 
 
+def asks_for_help(argv):
+    """Whether an argument is argparse's help flag: ``-h``, alone or joined
+    with more one-letter flags, or a prefix of ``--help`` that argparse
+    takes for it."""
+    return any(arg.startswith("-h") or len(arg) > 2 and "--help".startswith(arg) for arg in argv)
+
+
 @settings(max_examples=200, deadline=None)
 @given(argvs(), documents())
+@example(["validate", "--h"], FIX_B)
+@example(["-h"], FIX_B)
+@example(["section", "--he"], FIX_B)
 def test_cli_on_a_mutated_document_exits_with_a_documented_code(argv, doc):
     code, out, err = run(argv, doc)
+    if code == 0 and out.startswith("usage: "):
+        assert err == "" and asks_for_help(argv)
+        return
     # argparse writes its usage first, and exits 2 on a bad argv
     assert code == 2 or not (out + err).startswith("usage: ")
     assert code in (0, 2, 3, 4)

@@ -25,9 +25,9 @@ come from ``bench/run.py``.  Each side's package is imported once, before
 any call is timed, so work done at import time does not show here: a
 change that only makes the import cheaper reads about 1.00.  Size such a
 change by ``bench/run.py``'s ``setup_s``, with the same bytecode state on
-both sides (no ``src/finsection/__pycache__`` on either), or by an
-interleaved loop of cold ``python3 -m finsection`` processes.  Run it from
-anywhere:
+both sides (no ``src/finsection/__pycache__`` on either), or by
+``tools/cold_cli.py``, an interleaved loop of cold ``python3 -S -m
+finsection`` processes.  Run it from anywhere:
 
     python3 tools/ab_cli.py PARENT_CHECKOUT . --workload scheme-algebra --seed 1 --rounds 10
 """
